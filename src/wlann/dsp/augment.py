@@ -39,11 +39,15 @@ class AugmentParams:
 
 
 def _warp_positions(num_frames: int, pivot: int, shift: int) -> np.ndarray:
-    """Source frame position for each output frame under the piecewise map."""
+    """Source frame position for each output frame under the piecewise map.
+
+    The displaced pivot is clamped into [1, frames - 2] so both
+    segments keep a nonzero length.
+    """
     positions = np.empty(num_frames)
-    new_pivot = pivot + shift
+    new_pivot = min(max(pivot + shift, 1), num_frames - 2)
     head = np.arange(new_pivot + 1)
-    positions[: new_pivot + 1] = head * (pivot / new_pivot) if new_pivot > 0 else 0.0
+    positions[: new_pivot + 1] = head * (pivot / new_pivot)
     tail = np.arange(new_pivot + 1, num_frames)
     span_out = (num_frames - 1) - new_pivot
     span_in = (num_frames - 1) - pivot

@@ -10,6 +10,7 @@ the natural log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,14 +100,9 @@ class LogMelSpectrogram:
         return self.values.shape[1]
 
 
-_FILTERBANK_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=1)
 def _cached_filterbank() -> tuple[np.ndarray, np.ndarray]:
-    key = (MEL_BINS, FFT_SIZE, SAMPLE_RATE_HZ)
-    if key not in _FILTERBANK_CACHE:
-        _FILTERBANK_CACHE[key] = mel_filterbank()
-    return _FILTERBANK_CACHE[key]
+    return mel_filterbank()
 
 
 def log_mel(clip: AudioClip) -> LogMelSpectrogram:

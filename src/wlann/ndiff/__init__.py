@@ -15,8 +15,6 @@ from .gru import (
     GruCellParams,
     bigru,
     bigru_vjp,
-    gru_cell,
-    gru_cell_vjp,
     gru_sequence,
     gru_sequence_vjp,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "bigru_vjp",
     "functional",
     "grad_check",
-    "gru_cell",
-    "gru_cell_vjp",
     "gru_sequence",
     "gru_sequence_vjp",
     "multi_head_self_attention",

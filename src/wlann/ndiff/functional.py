@@ -86,14 +86,6 @@ def linear_vjp(dy: np.ndarray, cache):
 # Elementwise activations
 
 
-def relu(x: np.ndarray):
-    return np.maximum(x, 0.0), (x > 0.0)
-
-
-def relu_vjp(dy: np.ndarray, cache):
-    return dy * cache
-
-
 def gelu(x: np.ndarray):
     """Gaussian-CDF form: x * Phi(x), with the exact erf evaluation."""
     from scipy.special import erf
@@ -118,16 +110,6 @@ def sigmoid(x: np.ndarray):
 def sigmoid_vjp(dy: np.ndarray, cache):
     y = cache
     return dy * y * (1.0 - y)
-
-
-def tanh(x: np.ndarray):
-    y = np.tanh(x)
-    return y, y
-
-
-def tanh_vjp(dy: np.ndarray, cache):
-    y = cache
-    return dy * (1.0 - y * y)
 
 
 # ---------------------------------------------------------------------------

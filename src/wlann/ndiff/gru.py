@@ -1,4 +1,4 @@
-"""Gated recurrent units: single cell, directional scan, bidirectional stack.
+"""Gated recurrent units: a directional scan and the bidirectional stack over it.
 
 Gate equations, with W* acting on the input and U* on the hidden state:
 
@@ -65,66 +65,18 @@ class GruCellParams:
         yield from (self.wz, self.uz, self.bz, self.wr, self.ur, self.br, self.wh, self.uh, self.bh)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    from scipy.special import expit
-
-    return expit(x)
-
-
-def gru_cell(x: np.ndarray, h_prev: np.ndarray, params: GruCellParams):
-    """One GRU step; returns (h_next, cache)."""
-    if x.shape[-1] != params.input_size or h_prev.shape[-1] != params.hidden_size:
-        raise ShapeError(
-            f"gru cell expects input {params.input_size} / hidden {params.hidden_size}, "
-            f"got {x.shape[-1]} / {h_prev.shape[-1]}"
-        )
-    z = _sigmoid(params.wz.data @ x + params.uz.data @ h_prev + params.bz.data)
-    r = _sigmoid(params.wr.data @ x + params.ur.data @ h_prev + params.br.data)
-    rh = r * h_prev
-    c = np.tanh(params.wh.data @ x + params.uh.data @ rh + params.bh.data)
-    h_next = (1.0 - z) * h_prev + z * c
-    return h_next, (x, h_prev, z, r, rh, c, params)
-
-
-def gru_cell_vjp(dh_next: np.ndarray, cache):
-    """Backward for one step; returns (dx, dh_prev)."""
-    x, h_prev, z, r, rh, c, p = cache
-    dz = dh_next * (c - h_prev)
-    dc = dh_next * z
-    dh_prev = dh_next * (1.0 - z)
-
-    da_c = dc * (1.0 - c * c)
-    p.wh.add_grad(np.outer(da_c, x))
-    p.uh.add_grad(np.outer(da_c, rh))
-    p.bh.add_grad(da_c)
-    drh = p.uh.data.T @ da_c
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    da_z = dz * z * (1.0 - z)
-    p.wz.add_grad(np.outer(da_z, x))
-    p.uz.add_grad(np.outer(da_z, h_prev))
-    p.bz.add_grad(da_z)
-    dh_prev = dh_prev + p.uz.data.T @ da_z
-
-    da_r = dr * r * (1.0 - r)
-    p.wr.add_grad(np.outer(da_r, x))
-    p.ur.add_grad(np.outer(da_r, h_prev))
-    p.br.add_grad(da_r)
-    dh_prev = dh_prev + p.ur.data.T @ da_r
-
-    dx = p.wz.data.T @ da_z + p.wr.data.T @ da_r + p.wh.data.T @ da_c
-    return dx, dh_prev
-
-
 def gru_sequence(xs: np.ndarray, params: GruCellParams, reverse: bool = False):
     """Scan a (T, D_in) sequence from a zero initial state; returns (T, H).
 
     Input projections are batched outside the recurrence; only the
     hidden-to-hidden work runs step by step.
     """
+    from scipy.special import expit
+
     if xs.ndim != 2:
         raise ShapeError(f"gru sequence expects (T, D_in), got {xs.shape}")
+    if xs.shape[1] != params.input_size:
+        raise ShapeError(f"gru sequence expects input width {params.input_size}, got {xs.shape[1]}")
     steps = xs.shape[0]
     hidden = params.hidden_size
     order = np.arange(steps)[::-1] if reverse else np.arange(steps)
@@ -142,8 +94,8 @@ def gru_sequence(xs: np.ndarray, params: GruCellParams, reverse: bool = False):
     out = np.zeros((steps, hidden), dtype=xs.dtype)
 
     for i, t in enumerate(order):
-        z = _sigmoid(xz[t] + params.uz.data @ h)
-        r = _sigmoid(xr[t] + params.ur.data @ h)
+        z = expit(xz[t] + params.uz.data @ h)
+        r = expit(xr[t] + params.ur.data @ h)
         rh = r * h
         c = np.tanh(xh[t] + params.uh.data @ rh)
         h_prev_all[i], z_all[i], r_all[i], rh_all[i], c_all[i] = h, z, r, rh, c

@@ -18,12 +18,11 @@ from ..errors import ShapeError
 class Tensor:
     """An n-dimensional parameter array plus its gradient accumulator."""
 
-    __slots__ = ("name", "data", "grad", "requires_grad")
+    __slots__ = ("name", "data", "grad")
 
-    def __init__(self, data, name: str = "", requires_grad: bool = True):
+    def __init__(self, data, name: str = ""):
         self.data = np.asarray(data)
         self.name = name
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
     @property
@@ -42,8 +41,6 @@ class Tensor:
         self.grad = np.zeros_like(self.data)
 
     def add_grad(self, delta: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
         if delta.shape != self.data.shape:
             raise ShapeError(
                 f"gradient shape {delta.shape} does not match parameter "

@@ -89,14 +89,14 @@ def prepare_split(split: DatasetSplit, corpus, cfg: WlannConfig) -> list[Prepare
 
 
 def train_step(
-    batch: list[PreparedExample | tuple[AudioClip, int]],
+    batch: list[PreparedExample],
     state: TrainState,
     train_mode: bool = True,
 ) -> tuple[float, int]:
-    """One optimizer update on a batch; returns (mean loss, correct count).
+    """One optimizer update on a batch of prepared examples; returns (mean loss, correct count).
 
-    Accepts either cached `PreparedExample`s or raw (clip, label-index)
-    pairs; both paths produce identical inputs for a given state.
+    In train mode each example's cached spectrogram is augmented with a
+    seed derived from (config seed, step, batch index).
     """
     if not batch:
         raise ValidationError("training batch is empty")
@@ -105,31 +105,19 @@ def train_step(
     total_loss = 0.0
     correct = 0
     scale = 1.0 / len(batch)
-    for index, item in enumerate(batch):
-        if isinstance(item, PreparedExample):
-            example = item
-            spec = example.base_spec
-            if train_mode:
-                spec = augment_spectrogram(
-                    spec, cfg, augment_seed_for(cfg.seed, state.step, index)
-                )
-            waveform, label_index, example_id = example.waveform, example.label_index, example.example_id
-        else:
-            clip, label_index = item
-            waveform, spec = prepare_input(
-                clip, cfg, train_mode=train_mode,
-                augment_seed=augment_seed_for(cfg.seed, state.step, index),
-            )
-            example_id = clip.source or f"batch[{index}]"
-        scores, cache = forward(waveform, spec, state.params, cfg)
-        target = one_hot(label_index, cfg.num_classes, dtype=scores.dtype)
+    for index, example in enumerate(batch):
+        spec = example.base_spec
+        if train_mode:
+            spec = augment_spectrogram(spec, cfg, augment_seed_for(cfg.seed, state.step, index))
+        scores, cache = forward(example.waveform, spec, state.params, cfg)
+        target = one_hot(example.label_index, cfg.num_classes, dtype=scores.dtype)
         loss, loss_cache = focal_loss(scores, target, cfg.focal_gamma)
         if not np.isfinite(loss):
             raise NumericError(
-                f"non-finite loss at step {state.step} on example {example_id!r}"
+                f"non-finite loss at step {state.step} on example {example.example_id!r}"
             )
         total_loss += loss
-        if int(np.argmax(scores)) == label_index:
+        if int(np.argmax(scores)) == example.label_index:
             correct += 1
         backward(focal_loss_vjp(scale, loss_cache), cache)
     state.optimizer.step()

@@ -26,6 +26,7 @@ from wlann.model.config import (
     OptimizerConfig,
 )
 from wlann.model.pipeline import prepare_input
+from wlann.ndiff import attention, functional, gru
 from wlann.scoring import consistency_check, evaluate, render_report, score
 from wlann.train import TrainState, one_hot, focal_loss, prepare_split, train_step
 from wlann.train.loop import fit
@@ -112,6 +113,16 @@ class TestCriterion3GradientSuite:
         if not ok:
             print(format_suite(results))
         assert ok
+
+        # Every forward/VJP pair in wlann.ndiff has exactly one entry, and no entry outlives its op.
+        ndiff_pairs = {
+            name
+            for module in (functional, attention, gru)
+            for name in vars(module)
+            if f"{name}_vjp" in vars(module)
+        }
+        checked = {name for name, _ in results} - {"focal_loss", "end_to_end_micro_model"}
+        assert checked == ndiff_pairs
 
 
 class TestCriterion4DspFidelity:

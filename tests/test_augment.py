@@ -5,6 +5,7 @@ import pytest
 
 from wlann.dsp import AugmentParams, LogMelSpectrogram, spec_augment
 from wlann.errors import ValidationError
+from wlann.train import augment_seed_for
 
 
 def random_spec(rng, frames=60):
@@ -68,8 +69,12 @@ class TestStructure:
 
     def test_warp_keeps_endpoint_frames(self, rng):
         spec = random_spec(rng)
-        for seed in range(30):
-            out = spec_augment(spec, AugmentParams(6, 0, 0, seed=seed))
+        cases = [(spec, AugmentParams(6, 0, 0, seed=seed)) for seed in range(30)]
+        # This seed displaces the pivot onto the last of 98 frames.
+        edge_seed = augment_seed_for(2, 0, 4)
+        cases.append((random_spec(rng, frames=98), AugmentParams(5, 0, 0, seed=edge_seed)))
+        for spec, params in cases:
+            out = spec_augment(spec, params)
             np.testing.assert_allclose(out.values[:, 0], spec.values[:, 0], atol=1e-12)
             np.testing.assert_allclose(out.values[:, -1], spec.values[:, -1], atol=1e-12)
 

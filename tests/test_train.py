@@ -7,17 +7,17 @@ import pytest
 
 from wlann.dataio import AudioClip
 from wlann.errors import CheckpointError, NumericError
-from wlann.model import WlannParams
+from wlann.model import WlannParams, prepare_input
 from wlann.model.config import OptimizerConfig
 from wlann.ndiff import Tensor
 from wlann.train import (
     Adam,
+    PreparedExample,
     TrainState,
     fit,
     load_archive,
     load_checkpoint,
     load_train_state,
-    prepare_example,
     save_archive,
     save_checkpoint,
     train_step,
@@ -28,11 +28,12 @@ from conftest import small_train_config
 
 
 def synthetic_batch(cfg, rng, n=4):
-    """Raw (clip, label) pairs the public train_step accepts."""
+    """Prepared examples of random clips, labels cycling through the classes."""
     batch = []
     for i in range(n):
-        samples = rng.uniform(-0.5, 0.5, 12000)
-        batch.append((AudioClip(samples, 16000, source=f"clip{i}"), i % cfg.num_classes))
+        clip = AudioClip(rng.uniform(-0.5, 0.5, 12000), 16000)
+        waveform, spec = prepare_input(clip, cfg)
+        batch.append(PreparedExample(f"clip{i}", waveform, spec, i % cfg.num_classes))
     return batch
 
 
