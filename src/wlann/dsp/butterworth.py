@@ -1,15 +1,14 @@
-"""Digital Butterworth band-pass design and application.
+"""Digital Butterworth band-pass: designed by `scipy.signal.butter` with the
+band edges prewarped to land at -3 dB, kept and run as second-order sections.
 
-The design follows the classical route: analog low-pass prototype of the
-requested order, low-pass -> band-pass transform, then the bilinear
-transform with the band edges prewarped so the -3 dB points land exactly
-on the requested digital frequencies. An order-4 prototype therefore
-yields an 8-pole digital filter.
+An order-4 prototype yields 8 poles in 4 sections. Sections stay accurate at
+orders where the expanded b(z)/a(z) polynomials lose their poles to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,38 +18,38 @@ from ..errors import ValidationError
 
 @dataclass(frozen=True)
 class BandpassFilter:
-    """Rational transfer function b(z)/a(z) plus its design metadata."""
+    """Second-order sections, rows [b0 b1 b2 a0 a1 a2], plus the design."""
 
-    b: np.ndarray
-    a: np.ndarray
+    sos: np.ndarray
     order: int
     low_hz: float
     high_hz: float
     sample_rate_hz: int
 
-    def frequency_response(self, freqs_hz: np.ndarray | float) -> np.ndarray:
-        """Evaluate H(e^{j w}) at the given frequencies in Hz."""
-        freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
-        z = np.exp(1j * 2.0 * np.pi * freqs / self.sample_rate_hz)
-        num = np.polyval(self.b[::-1], 1.0 / z)
-        den = np.polyval(self.a[::-1], 1.0 / z)
-        return num / den
-
     def gain_db(self, freqs_hz: np.ndarray | float) -> np.ndarray:
-        magnitude = np.abs(self.frequency_response(freqs_hz))
-        return 20.0 * np.log10(np.maximum(magnitude, 1e-300))
+        from scipy.signal import sosfreqz
+
+        freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
+        _, response = sosfreqz(self.sos, worN=freqs, fs=self.sample_rate_hz)
+        return 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
 
     def poles(self) -> np.ndarray:
-        return np.roots(self.a)
+        # Denominators only: sos2zpk also factors the numerators, and warns
+        # they are badly conditioned for narrow low bands such as 1-2 Hz.
+        return np.concatenate([np.roots(a) for a in self.sos[:, 3:]])
 
-    def is_stable(self) -> bool:
-        return bool(np.all(np.abs(self.poles()) < 1.0))
 
-
+@lru_cache(maxsize=8)
 def design_butterworth_bandpass(
     order: int, low_hz: float, high_hz: float, fs_hz: int
 ) -> BandpassFilter:
-    """Design a band-pass filter from an order-`order` Butterworth prototype."""
+    """Design a band-pass filter from an order-`order` Butterworth prototype.
+
+    Cached, because callers design the same filter once per clip; every
+    caller shares the returned filter.
+    """
+    from scipy.signal import butter
+
     nyquist = fs_hz / 2.0
     if not (0.0 < low_hz < high_hz < nyquist):
         raise ValidationError(
@@ -59,41 +58,11 @@ def design_butterworth_bandpass(
     if order < 1:
         raise ValidationError(f"filter order must be >= 1, got {order}")
 
-    # Analog prototype poles on the unit circle's left half.
-    k = np.arange(1, order + 1)
-    prototype_poles = np.exp(1j * np.pi * (2 * k + order - 1) / (2 * order))
-
-    # Prewarp the band edges so the bilinear transform maps them exactly.
-    fs2 = 2.0 * fs_hz
-    warped_low = fs2 * np.tan(np.pi * low_hz / fs_hz)
-    warped_high = fs2 * np.tan(np.pi * high_hz / fs_hz)
-    bandwidth = warped_high - warped_low
-    center_sq = warped_low * warped_high
-
-    # Low-pass -> band-pass: each prototype pole p maps to a conjugate pair.
-    scaled = prototype_poles * bandwidth / 2.0
-    discriminant = np.sqrt(scaled**2 - center_sq)
-    analog_poles = np.concatenate([scaled + discriminant, scaled - discriminant])
-    # Band-pass numerator is (bandwidth * s)^order: `order` zeros at s=0.
-    analog_zeros = np.zeros(order)
-    analog_gain = bandwidth**order
-
-    # Bilinear transform s = fs2 * (z-1)/(z+1).
-    digital_poles = (fs2 + analog_poles) / (fs2 - analog_poles)
-    digital_zeros = (fs2 + analog_zeros) / (fs2 - analog_zeros)
-    # Zeros at analog infinity (degree deficit) land at z = -1.
-    degree = analog_poles.size - analog_zeros.size
-    digital_zeros = np.concatenate([digital_zeros, -np.ones(degree)])
-    gain = analog_gain * np.real(
-        np.prod(fs2 - analog_zeros) / np.prod(fs2 - analog_poles)
-    )
-
-    b = np.real(np.poly(digital_zeros)) * gain
-    a = np.real(np.poly(digital_poles))
+    sos = butter(order, (low_hz, high_hz), btype="bandpass", fs=fs_hz, output="sos")
     designed = BandpassFilter(
-        b=b, a=a, order=order, low_hz=float(low_hz), high_hz=float(high_hz), sample_rate_hz=fs_hz
+        sos=sos, order=order, low_hz=float(low_hz), high_hz=float(high_hz), sample_rate_hz=fs_hz
     )
-    if not designed.is_stable():
+    if not np.all(np.abs(designed.poles()) < 1.0):
         raise ValidationError(
             f"designed filter is unstable for edges ({low_hz}, {high_hz}) at {fs_hz} Hz"
         )
@@ -101,13 +70,13 @@ def design_butterworth_bandpass(
 
 
 def apply_filter(bandpass: BandpassFilter, clip: AudioClip) -> AudioClip:
-    """Run the difference equation over the clip with zero initial state."""
+    """Run the cascaded sections over the clip with zero initial state."""
+    from scipy.signal import sosfilt
+
     if clip.sample_rate_hz != bandpass.sample_rate_hz:
         raise ValidationError(
             f"filter designed for {bandpass.sample_rate_hz} Hz cannot run on a "
             f"{clip.sample_rate_hz} Hz clip"
         )
-    from scipy.signal import lfilter
-
-    filtered = lfilter(bandpass.b, bandpass.a, clip.samples)
+    filtered = sosfilt(bandpass.sos, clip.samples)
     return AudioClip(np.clip(filtered, -1.0, 1.0), clip.sample_rate_hz, source=clip.source)

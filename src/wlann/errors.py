@@ -43,5 +43,6 @@ class CheckpointError(StorageError):
 
 CHECKPOINT_BAD_MAGIC = "bad_magic"
 CHECKPOINT_TRUNCATED = "truncated_payload"
+CHECKPOINT_TRAILING_BYTES = "trailing_bytes"
 CHECKPOINT_SHAPE_MISMATCH = "shape_mismatch"
 CHECKPOINT_MISSING_TENSOR = "missing_tensor"

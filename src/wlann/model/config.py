@@ -200,6 +200,8 @@ class WlannConfig:
                 f"band edges ({self.bandpass.low_hz}, {self.bandpass.high_hz}) must be "
                 f"increasing and below Nyquist ({nyquist})"
             )
+        if self.bandpass.order < 1:
+            raise ConfigError(f"band-pass order must be >= 1, got {self.bandpass.order}")
 
     # -- serialization ------------------------------------------------------
 

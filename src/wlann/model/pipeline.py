@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ..dataio.audio import AudioClip
 from ..dsp import AugmentParams, LogMelSpectrogram, apply_filter, log_mel, resample, spec_augment
+from ..dsp.butterworth import design_butterworth_bandpass
 from .config import WlannConfig
-
-
-@lru_cache(maxsize=8)
-def _bandpass_for(order: int, low_hz: float, high_hz: float, fs_hz: int):
-    from ..dsp import design_butterworth_bandpass
-
-    return design_butterworth_bandpass(order, low_hz, high_hz, fs_hz)
 
 
 def pad_or_crop_center(samples: np.ndarray, length: int) -> np.ndarray:
@@ -71,7 +63,7 @@ def augment_spectrogram(
 
 def _preprocess(clip: AudioClip, cfg: WlannConfig) -> np.ndarray:
     resampled = resample(clip, cfg.sample_rate_hz)
-    bandpass = _bandpass_for(
+    bandpass = design_butterworth_bandpass(
         cfg.bandpass.order, cfg.bandpass.low_hz, cfg.bandpass.high_hz, cfg.sample_rate_hz
     )
     filtered = apply_filter(bandpass, resampled)

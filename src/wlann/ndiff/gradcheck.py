@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import NumericError
+from ..errors import NumericError, ValidationError
 from .tensor import Tensor
 
 # Relative error uses a floored denominator so near-zero gradient entries
@@ -75,6 +75,8 @@ def grad_check(
     randomly chosen entries per tensor are probed, which keeps end-to-end
     model checks tractable; per-operation tests probe every entry.
     """
+    if samples_per_tensor is not None and samples_per_tensor < 1:
+        raise ValidationError(f"samples_per_tensor must be >= 1, got {samples_per_tensor}")
     for p in params:
         p.zero_grad()
     base = float(f())

@@ -163,6 +163,8 @@ def evaluate(
     from .model.network import predict_scores
     from .model.pipeline import prepare_input
 
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if not split.events:
         raise ValidationError(f"split {split.name!r} is empty")
 

@@ -9,11 +9,15 @@ Layout:
 
 The tensor table stores (name, shape, element offset) per entry, so the
 file is self-describing and round-trips bit-exactly at 32-bit precision.
+The payload ends where the table's last tensor ends. Writes go to a
+temporary file renamed over the target, so an existing archive is only
+ever replaced by a complete one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +29,7 @@ from ..errors import (
     CHECKPOINT_BAD_MAGIC,
     CHECKPOINT_MISSING_TENSOR,
     CHECKPOINT_SHAPE_MISMATCH,
+    CHECKPOINT_TRAILING_BYTES,
     CHECKPOINT_TRUNCATED,
     CheckpointError,
     StorageError,
@@ -65,15 +70,20 @@ def save_archive(
         "tensors": table,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with Path(path).open("wb") as handle:
+        with partial.open("wb") as handle:
             handle.write(MAGIC)
             handle.write(struct.pack("<I", len(header_bytes)))
             handle.write(header_bytes)
             for blob in payloads:
                 handle.write(blob)
+        os.replace(partial, path)
     except OSError as exc:
         raise StorageError(f"cannot write archive {path}: {exc}") from exc
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_archive(path: str | Path) -> Archive:
@@ -95,6 +105,7 @@ def load_archive(path: str | Path) -> Archive:
 
     payload = raw[header_start + header_len :]
     tensors: dict[str, np.ndarray] = {}
+    table_end = 0
     for entry in header.get("tensors", []):
         name, shape, offset = entry["name"], tuple(entry["shape"]), int(entry["offset"])
         size = int(np.prod(shape)) if shape else 1
@@ -107,6 +118,12 @@ def load_archive(path: str | Path) -> Archive:
                 f"(need {end} bytes, have {len(payload)})",
             )
         tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+        table_end = max(table_end, end)
+    if len(payload) > table_end:
+        raise CheckpointError(
+            CHECKPOINT_TRAILING_BYTES,
+            f"{path}: {len(payload) - table_end} bytes after the last tensor",
+        )
     return Archive(
         kind=header.get("kind", "checkpoint"),
         config=header.get("config", {}),

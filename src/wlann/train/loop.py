@@ -136,6 +136,8 @@ def fit(
     state: TrainState | None = None,
 ) -> TrainState:
     """Epoch loop with seeded shuffling; writes a checkpoint after each epoch."""
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
     if state is None:
         state = TrainState.create(cfg)
     examples = prepare_split(split, corpus, cfg)

@@ -118,6 +118,22 @@ class TestPipeline:
                        "--split", "intra", "--report", str(b), "--jobs", "4") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_epochs_is_validation_error(self, workspace, capsys):
+        out = workspace / "never.wlann"
+        assert run_cli("train", "--data", str(workspace / "corpus"), "--config",
+                       str(workspace / "config.json"), "--epochs", "-1", "--out", str(out)) == 1
+        assert "epochs must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_validation_error(self, workspace, capsys, jobs):
+        report = workspace / "never.json"
+        assert run_cli("eval", "--data", str(workspace / "corpus"), "--model",
+                       str(workspace / "model.wlann"), "--split", "intra",
+                       "--report", str(report), "--jobs", jobs) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_model_is_io_error(self, workspace, capsys):
         assert run_cli("predict", "--wav", "nope.wav", "--model",
                        str(workspace / "absent.wlann")) == 2
@@ -136,3 +152,7 @@ class TestGradcheckCommand:
         for op in ("conv1d", "bigru", "transformer_block", "end_to_end_micro_model"):
             assert op in out
         assert "PASS" in out
+
+    def test_zero_e2e_samples_is_validation_error(self, capsys):
+        assert run_cli("gradcheck", "--e2e-samples", "0") == 1
+        assert "samples_per_tensor must be >= 1" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wlann.errors import NumericError
+from wlann.errors import NumericError, ValidationError
 from wlann.ndiff import Tensor, grad_check
 
 
@@ -58,6 +58,18 @@ class TestGradCheck:
         assert report.checks[0].entries_checked == 5
         assert calls["n"] == 1 + 2 * 5
         assert report.passed
+
+    def test_zero_samples_rejected(self, rng):
+        """Probing no entries would pass without checking anything."""
+        theta = Tensor(rng.standard_normal(4), name="theta")
+
+        def f():
+            theta.zero_grad()
+            theta.add_grad(2.0 * theta.data)
+            return float(np.sum(theta.data**2))
+
+        with pytest.raises(ValidationError, match="samples_per_tensor"):
+            grad_check(f, [theta], samples_per_tensor=0)
 
     def test_summary_mentions_every_tensor(self, rng):
         a = Tensor(rng.standard_normal(3), name="alpha")

@@ -17,7 +17,7 @@ from wlann.model import (
     prepare_input,
     waveform_branch,
 )
-from wlann.model.config import AstBranchConfig, AugmentConfig, CnnBranchConfig
+from wlann.model.config import AstBranchConfig, AugmentConfig, BandpassConfig, CnnBranchConfig
 from wlann.verify import micro_config
 
 from conftest import small_train_config
@@ -59,6 +59,10 @@ class TestConfigValidation:
     def test_channel_width_divisibility_enforced(self):
         with pytest.raises(ConfigError, match="divisible"):
             WlannConfig(cnn=CnnBranchConfig(channel_widths=(64, 128, 240, 241)))
+
+    def test_bandpass_order_enforced(self):
+        with pytest.raises(ConfigError, match="band-pass order"):
+            WlannConfig(bandpass=BandpassConfig(order=0))
 
     def test_heads_divisibility_enforced(self):
         with pytest.raises(ConfigError, match="heads"):
@@ -113,6 +117,14 @@ class TestPrepareInput:
         _, s3 = prepare_input(clip, cfg, train_mode=True, augment_seed=2)
         np.testing.assert_array_equal(s1.values, s2.values)
         assert not np.array_equal(s1.values, s3.values)
+
+    @pytest.mark.parametrize("order, low_hz, high_hz", [(6, 20.0, 850.0), (8, 40.0, 850.0)])
+    def test_high_order_bandpass_runs(self, order, low_hz, high_hz):
+        cfg = small_train_config(bandpass=BandpassConfig(order, low_hz, high_hz))
+        clip = AudioClip(np.random.default_rng(3).uniform(-0.3, 0.3, 8000), 8000)
+        waveform, spec = prepare_input(clip, cfg)
+        assert waveform.shape == (1, 16000)
+        assert np.all(np.isfinite(waveform)) and np.all(np.isfinite(spec.values))
 
     def test_pad_or_crop_identity(self, rng):
         x = rng.standard_normal(100)

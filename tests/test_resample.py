@@ -21,7 +21,34 @@ def quadrature_amplitude(samples, freq_hz, rate_hz):
     return float(np.hypot(c, s))
 
 
+def direct_sum(x, source_hz, target_hz):
+    """out[m] = sum_k x[k] h(k - m * source / target), tap by tap (test-local oracle).
+
+    h is the 16-zero-crossing, beta=8.6 Kaiser-windowed sinc at the lower
+    Nyquist; the taps k - position run over (-half_width, half_width].
+    """
+    cutoff = min(1.0, target_hz / source_hz)
+    half_width = int(np.ceil(16 / cutoff))
+    positions = np.arange(round(x.size * target_hz / source_hz)) * (source_hz / target_hz)
+    taps = np.floor(positions).astype(np.int64)[:, None] + np.arange(1 - half_width, half_width + 1)
+    t = taps - positions[:, None]
+    window = np.i0(8.6 * np.sqrt(np.clip(1.0 - (t / half_width) ** 2, 0.0, None))) / np.i0(8.6)
+    inside = (taps >= 0) & (taps < x.size)
+    gathered = np.where(inside, x[np.clip(taps, 0, x.size - 1)], 0.0)
+    return np.clip(np.sum(gathered * cutoff * np.sinc(cutoff * t) * window, axis=1), -1.0, 1.0)
+
+
 class TestResample:
+    @pytest.mark.parametrize(
+        "source_hz, target_hz, n",
+        [(8000, 16000, 4001), (44100, 16000, 4413), (16000, 8000, 4001), (22050, 16000, 2207)],
+    )
+    def test_matches_direct_sum(self, rng, source_hz, target_hz, n):
+        x = rng.uniform(-0.5, 0.5, n)
+        out = resample(AudioClip(x, source_hz), target_hz)
+        assert len(out) == round(n * target_hz / source_hz)
+        np.testing.assert_allclose(out.samples, direct_sum(x, source_hz, target_hz), rtol=0, atol=1e-10)
+
     def test_doubling_length(self):
         clip = AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, 8000), 8000)
         out = resample(clip, 16000)

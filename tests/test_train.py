@@ -1,12 +1,14 @@
 """Training loop determinism, optimizer behavior, checkpoint round trips."""
 
+import errno
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wlann.dataio import AudioClip
-from wlann.errors import CheckpointError, NumericError
+from wlann.errors import CheckpointError, NumericError, StorageError
 from wlann.model import WlannParams, prepare_input
 from wlann.model.config import OptimizerConfig
 from wlann.ndiff import Tensor
@@ -22,6 +24,7 @@ from wlann.train import (
     save_checkpoint,
     train_step,
 )
+from wlann.train import checkpoint
 from wlann.train.checkpoint import restore_parameters
 
 from conftest import small_train_config
@@ -139,6 +142,33 @@ class TestCheckpointArchive:
         with pytest.raises(CheckpointError) as err:
             load_archive(path)
         assert err.value.code == "truncated_payload"
+
+    def test_trailing_bytes_code(self, tmp_path, rng):
+        path = tmp_path / "t.wlann"
+        save_archive(path, "checkpoint", {}, {"w": rng.standard_normal(64).astype(np.float32)})
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(CheckpointError) as err:
+            load_archive(path)
+        assert err.value.code == "trailing_bytes"
+
+    def test_failed_write_keeps_previous_archive(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "t.wlann"
+        good = {"w": rng.standard_normal(64).astype(np.float32)}
+        save_archive(path, "checkpoint", {"x": 1}, good)
+        before = path.read_bytes()
+
+        def disk_full(*_):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        # The magic goes out, then the disk fills before the header length.
+        monkeypatch.setattr(checkpoint, "struct", SimpleNamespace(pack=disk_full))
+        with pytest.raises(StorageError):
+            save_archive(path, "checkpoint", {"x": 2}, {"w": np.zeros(64, np.float32)})
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["t.wlann"]
+        np.testing.assert_array_equal(load_archive(path).tensors["w"], good["w"])
 
     def test_shape_mismatch_code(self, tmp_path, rng):
         cfg = small_train_config()
