@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -70,7 +71,7 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams):
     k, c_k = F.linear(x, params.wk, params.bk)
     v, c_v = F.linear(x, params.wv, params.bv)
     qh, kh, vh = (_split_heads(t, params.heads) for t in (q, k, v))
-    scale = 1.0 / np.sqrt(dim // params.heads)
+    scale = 1.0 / math.sqrt(dim // params.heads)
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
     attn, c_soft = F.softmax(scores, axis=-1)
     context = attn @ vh  # (h, N, d_h)

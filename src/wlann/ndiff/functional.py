@@ -10,6 +10,8 @@ differences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -17,8 +19,10 @@ from ..errors import ShapeError
 from .tensor import Tensor
 
 LAYER_NORM_EPS = 1e-8
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: under NEP 50 a np.float64 operand
+# would promote float32 activations to float64.
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def conv1d_output_length(length: int, kernel: int, stride: int) -> int:
@@ -176,8 +180,9 @@ def adaptive_mean_pool(x: np.ndarray, out_len: int):
     t_in = x.shape[0]
     if out_len < 1:
         raise ShapeError(f"pooled length must be >= 1, got {out_len}")
-    starts = (np.arange(out_len) * t_in) // out_len
-    ends = -(-(np.arange(1, out_len + 1) * t_in) // out_len)  # ceil division
+    # Python ints, so the backward division keeps the gradient's dtype.
+    starts = ((np.arange(out_len) * t_in) // out_len).tolist()
+    ends = (-(-(np.arange(1, out_len + 1) * t_in) // out_len)).tolist()  # ceil division
     y = np.stack([x[s:e].mean(axis=0) for s, e in zip(starts, ends)])
     return y, (x.shape, starts, ends)
 

@@ -108,6 +108,11 @@ def load_archive(path: str | Path) -> Archive:
     table_end = 0
     for entry in header.get("tensors", []):
         name, shape, offset = entry["name"], tuple(entry["shape"]), int(entry["offset"])
+        if offset < 0 or any(dim < 0 for dim in shape):
+            raise CheckpointError(
+                CHECKPOINT_BAD_MAGIC,
+                f"{path}: corrupt header (tensor {name!r} has offset {offset}, shape {list(shape)})",
+            )
         size = int(np.prod(shape)) if shape else 1
         start = offset * 4
         end = start + size * 4

@@ -13,6 +13,7 @@ from wlann.model.config import (
     OptimizerConfig,
     WlannConfig,
 )
+from wlann.ndiff import Tensor
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +56,33 @@ def small_config() -> WlannConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def float_arrays(obj):
+    """Every floating-point array or numpy scalar in a nested cache, parameters included."""
+    if isinstance(obj, Tensor):
+        obj = obj.data
+    if isinstance(obj, (np.ndarray, np.generic)):
+        if np.issubdtype(obj.dtype, np.inexact):
+            yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from float_arrays(item)
+
+
+@pytest.fixture
+def grad_dtypes(monkeypatch) -> list[np.dtype]:
+    """The dtype of every gradient added to a `Tensor`, in call order.
+
+    `Tensor.grad` accumulates in place, so its own dtype is the
+    parameter's whatever was added; this records what the op produced.
+    """
+    seen = []
+    add_grad = Tensor.add_grad
+
+    def recording(self, delta):
+        seen.append(delta.dtype)
+        add_grad(self, delta)
+
+    monkeypatch.setattr(Tensor, "add_grad", recording)
+    return seen

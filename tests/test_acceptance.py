@@ -3,7 +3,8 @@
 Criteria (tolerances inline):
   1. score arithmetic reproduces the published headline row within 0.15 points
   2. metric identities over 10^4 random inputs, recomputed from raw counts
-  3. gradient suite: every op + end-to-end micro model at rel err < 1e-4
+  3. gradient suite: every op + end-to-end micro model at rel err < 1e-4;
+     every op maps float32 inputs to float32 outputs, forward and backward
   4. DSP fidelity: filter edges, stopband, FFT oracle, framing law
   5. shape pipeline at the 8 s default configuration
   6. 500-step overfit on a fixed 16-event synthetic batch to loss < 0.01
@@ -26,11 +27,13 @@ from wlann.model.config import (
     OptimizerConfig,
 )
 from wlann.model.pipeline import prepare_input
-from wlann.ndiff import attention, functional, gru
+from wlann.ndiff import Tensor, attention, functional, gru
 from wlann.scoring import consistency_check, evaluate, render_report, score
 from wlann.train import TrainState, one_hot, focal_loss, prepare_split, train_step
 from wlann.train.loop import fit
 from wlann.verify import format_suite, run_gradient_suite, suite_passed
+
+from conftest import float_arrays
 
 
 def announce(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -104,6 +107,50 @@ class TestCriterion2MetricIdentities:
         assert ok
 
 
+def ndiff_vjp_pairs() -> dict:
+    """Every `X` with an `X_vjp` in wlann.ndiff, mapped to its module."""
+    return {
+        name: module
+        for module in (functional, attention, gru)
+        for name in vars(module)
+        if f"{name}_vjp" in vars(module)
+    }
+
+
+def float32_cases(rng) -> dict:
+    """Float32 arguments for every ndiff forward op, by name."""
+
+    def values(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    def param(*shape):
+        return Tensor(values(*shape))
+
+    def float32(params):
+        for tensor in params.tensors():
+            tensor.data = tensor.data.astype(np.float32)
+        return params
+
+    return {
+        "conv1d": (values(2, 11), param(3, 2, 4), param(3), 2),
+        "linear": (values(5, 3), param(4, 3), param(4)),
+        "gelu": (values(4, 5),),
+        "sigmoid": (values(4, 5),),
+        "softmax": (values(4, 6),),
+        "layer_norm": (values(6, 5), param(5), param(5)),
+        "mean_pool": (values(3, 4, 5), 1),
+        "adaptive_mean_pool": (values(7, 3), 3),
+        "multi_head_self_attention": (values(3, 4), float32(attention.AttentionParams.create(4, 2, rng))),
+        "transformer_block": (values(3, 4), float32(attention.TransformerBlockParams.create(4, 2, rng))),
+        "gru_sequence": (values(4, 3), float32(gru.GruCellParams.create(3, 3, rng))),
+        "bigru": (
+            values(5, 3),
+            float32(gru.GruCellParams.create(3, 2, rng)),
+            float32(gru.GruCellParams.create(3, 2, rng)),
+        ),
+    }
+
+
 class TestCriterion3GradientSuite:
     def test_all_operations_and_micro_model(self):
         results = run_gradient_suite(seed=0, e2e_samples=6)
@@ -115,14 +162,20 @@ class TestCriterion3GradientSuite:
         assert ok
 
         # Every forward/VJP pair in wlann.ndiff has exactly one entry, and no entry outlives its op.
-        ndiff_pairs = {
-            name
-            for module in (functional, attention, gru)
-            for name in vars(module)
-            if f"{name}_vjp" in vars(module)
-        }
         checked = {name for name, _ in results} - {"focal_loss", "end_to_end_micro_model"}
-        assert checked == ndiff_pairs
+        assert checked == set(ndiff_vjp_pairs())
+
+    def test_float32_inputs_give_float32_outputs(self, rng, grad_dtypes):
+        # Every forward/VJP pair in wlann.ndiff has a float32 case here.
+        cases = float32_cases(rng)
+        pairs = ndiff_vjp_pairs()
+        assert set(cases) == set(pairs)
+        for name, module in pairs.items():
+            y, cache = getattr(module, name)(*cases[name])
+            dx = getattr(module, f"{name}_vjp")(rng.standard_normal(y.shape).astype(np.float32), cache)
+            found = {a.dtype for a in float_arrays((y, cache, dx))}
+            assert found == {np.dtype(np.float32)}, f"{name}: {found}"
+        assert set(grad_dtypes) == {np.dtype(np.float32)}
 
 
 class TestCriterion4DspFidelity:

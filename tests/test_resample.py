@@ -5,6 +5,7 @@ import pytest
 
 from wlann.dataio import AudioClip
 from wlann.dsp import resample
+from wlann.dsp.resample import _polyphase_kernel
 from wlann.errors import ValidationError
 
 
@@ -48,6 +49,14 @@ class TestResample:
         out = resample(AudioClip(x, source_hz), target_hz)
         assert len(out) == round(n * target_hz / source_hz)
         np.testing.assert_allclose(out.samples, direct_sum(x, source_hz, target_hz), rtol=0, atol=1e-10)
+
+    def test_kernel_cached_per_rate_pair_and_read_only(self):
+        kernel, up, down = _polyphase_kernel(44100, 16000)
+        assert (up, down) == (160, 441)
+        assert _polyphase_kernel(44100, 16000)[0] is kernel
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0] = 1.0
 
     def test_doubling_length(self):
         clip = AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, 8000), 8000)

@@ -1,6 +1,8 @@
 """Training loop determinism, optimizer behavior, checkpoint round trips."""
 
 import errno
+import json
+import struct
 import warnings
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ import pytest
 
 from wlann.dataio import AudioClip
 from wlann.errors import CheckpointError, NumericError, StorageError
-from wlann.model import WlannParams, prepare_input
+from wlann.model import WlannParams, backward, forward, prepare_input
 from wlann.model.config import OptimizerConfig
 from wlann.ndiff import Tensor
 from wlann.train import (
@@ -17,9 +19,12 @@ from wlann.train import (
     PreparedExample,
     TrainState,
     fit,
+    focal_loss,
+    focal_loss_vjp,
     load_archive,
     load_checkpoint,
     load_train_state,
+    one_hot,
     save_archive,
     save_checkpoint,
     train_step,
@@ -27,7 +32,7 @@ from wlann.train import (
 from wlann.train import checkpoint
 from wlann.train.checkpoint import restore_parameters
 
-from conftest import small_train_config
+from conftest import float_arrays, small_train_config
 
 
 def synthetic_batch(cfg, rng, n=4):
@@ -112,6 +117,29 @@ class TestTrainStep:
             train_step([], state)
 
 
+class TestConfigDtype:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_forward_backward_and_step_compute_in_config_dtype(self, dtype, grad_dtypes):
+        cfg = small_train_config(dtype=dtype)
+        example = synthetic_batch(cfg, np.random.default_rng(3), n=1)[0]
+        state = TrainState.create(cfg)
+        want = np.dtype(dtype)
+
+        scores, cache = forward(example.waveform, example.base_spec, state.params, cfg)
+        target = one_hot(example.label_index, cfg.num_classes, dtype=cfg.numpy_dtype)
+        _, loss_cache = focal_loss(scores, target, cfg.focal_gamma)
+        state.optimizer.zero_grads()
+        backward(focal_loss_vjp(1.0, loss_cache), cache)
+        state.optimizer.step()
+
+        assert {a.dtype for a in float_arrays(cache)} == {want}
+        assert scores.dtype == want
+        assert set(grad_dtypes) == {want}
+        assert {t.grad.dtype for t in state.params.tensors()} == {want}
+        assert {a.dtype for a in state.optimizer.m + state.optimizer.v} == {want}
+        assert {t.dtype for t in state.params.tensors()} == {want}
+
+
 class TestCheckpointArchive:
     def test_save_load_bitwise(self, tmp_path, rng):
         tensors = {
@@ -150,6 +178,17 @@ class TestCheckpointArchive:
         with pytest.raises(CheckpointError) as err:
             load_archive(path)
         assert err.value.code == "trailing_bytes"
+
+    @pytest.mark.parametrize("shape, offset", [([4], -4), ([4], -1), ([-1], 0), ([-2, -2], 0)])
+    def test_negative_table_entry_code(self, tmp_path, shape, offset):
+        header = json.dumps({"tensors": [{"name": "w", "shape": shape, "offset": offset}]}).encode()
+        path = tmp_path / "t.wlann"
+        path.write_bytes(
+            checkpoint.MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 16
+        )
+        with pytest.raises(CheckpointError) as err:
+            load_archive(path)
+        assert err.value.code == "bad_magic"
 
     def test_failed_write_keeps_previous_archive(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "t.wlann"
