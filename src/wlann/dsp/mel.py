@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dataio.audio import AudioClip
 from ..errors import ValidationError
@@ -111,12 +112,11 @@ def log_mel(clip: AudioClip) -> LogMelSpectrogram:
         raise ValidationError(
             f"log-mel extraction expects {SAMPLE_RATE_HZ} Hz input, got {clip.sample_rate_hz} Hz"
         )
-    num_frames = frame_count(len(clip))
+    frame_count(len(clip))  # rejects clips shorter than one window
     weights, centers = _cached_filterbank()
 
     window = np.hamming(WINDOW_SAMPLES)
-    starts = np.arange(num_frames) * HOP_SAMPLES
-    frames = clip.samples[starts[:, None] + np.arange(WINDOW_SAMPLES)[None, :]]
+    frames = sliding_window_view(clip.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
     spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
     power = np.abs(spectrum) ** 2
 

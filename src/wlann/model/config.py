@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..dataio.events import NUM_CLASSES
 from ..dsp import mel as meldsp
 from ..errors import ConfigError
 from ..ndiff.functional import conv1d_output_length
@@ -162,8 +163,8 @@ class WlannConfig:
             )
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.num_classes < 2:
-            raise ConfigError("need at least two classes")
+        if not 2 <= self.num_classes <= NUM_CLASSES:
+            raise ConfigError(f"num_classes must be in [2, {NUM_CLASSES}], got {self.num_classes}")
         if self.focal_gamma < 0:
             raise ConfigError("focal gamma must be >= 0")
         if self.ast.embed_dim % self.ast.heads != 0:
@@ -186,8 +187,16 @@ class WlannConfig:
             raise ConfigError(
                 f"fixed input yields {self.spec_frames} frames; patches need >= {self.ast.patch_size}"
             )
+        if min(asdict(self.augment).values()) < 0:
+            raise ConfigError(f"augmentation strengths must be >= 0, got {self.augment}")
         if self.augment.freq_mask_width >= self.ast.mel_bins:
             raise ConfigError("frequency mask width must be < mel_bins")
+        warp = self.augment.time_warp_frames
+        if warp > 0 and 2 * warp >= self.spec_frames:
+            raise ConfigError(
+                f"time warp of {warp} frames needs more than {2 * warp} spectrogram frames, "
+                f"got {self.spec_frames}"
+            )
         try:
             lengths = self.conv_lengths()
         except Exception as exc:
@@ -202,6 +211,8 @@ class WlannConfig:
             )
         if self.bandpass.order < 1:
             raise ConfigError(f"band-pass order must be >= 1, got {self.bandpass.order}")
+        if self.optimizer.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.optimizer.batch_size}")
 
     # -- serialization ------------------------------------------------------
 

@@ -103,16 +103,17 @@ def load_archive(path: str | Path) -> Archive:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(CHECKPOINT_BAD_MAGIC, f"{path}: corrupt header ({exc})") from exc
 
+    table = header.get("tensors", []) if isinstance(header, dict) else None
+    if not isinstance(table, list):
+        raise CheckpointError(
+            CHECKPOINT_BAD_MAGIC, f"{path}: corrupt header (not an object with a tensor list)"
+        )
+
     payload = raw[header_start + header_len :]
     tensors: dict[str, np.ndarray] = {}
     table_end = 0
-    for entry in header.get("tensors", []):
-        name, shape, offset = entry["name"], tuple(entry["shape"]), int(entry["offset"])
-        if offset < 0 or any(dim < 0 for dim in shape):
-            raise CheckpointError(
-                CHECKPOINT_BAD_MAGIC,
-                f"{path}: corrupt header (tensor {name!r} has offset {offset}, shape {list(shape)})",
-            )
+    for entry in table:
+        name, shape, offset = _table_entry(entry, path)
         size = int(np.prod(shape)) if shape else 1
         start = offset * 4
         end = start + size * 4
@@ -135,6 +136,17 @@ def load_archive(path: str | Path) -> Archive:
         metadata=header.get("metadata", {}),
         tensors=tensors,
     )
+
+
+def _table_entry(entry, path: Path) -> tuple[str, tuple[int, ...], int]:
+    """Name, shape and offset of one tensor-table entry; anything else is a corrupt header."""
+    if isinstance(entry, dict):
+        name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if isinstance(name, str) and isinstance(shape, list) and all(
+            type(n) is int and n >= 0 for n in (offset, *shape)
+        ):
+            return name, tuple(shape), offset
+    raise CheckpointError(CHECKPOINT_BAD_MAGIC, f"{path}: corrupt header (tensor entry {entry!r})")
 
 
 def restore_parameters(archive: Archive, named_params: dict[str, "np.ndarray | object"]) -> None:

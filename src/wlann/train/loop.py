@@ -143,7 +143,7 @@ def fit(
     examples = prepare_split(split, corpus, cfg)
     if not examples and epochs > 0:
         raise ValidationError(f"split {split.name!r} has no events to train on")
-    batch_size = max(1, cfg.optimizer.batch_size)
+    batch_size = cfg.optimizer.batch_size
 
     save_checkpoint(out_path, state)
     for _ in range(epochs):

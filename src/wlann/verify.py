@@ -1,11 +1,17 @@
 """Finite-difference verification suite covering every differentiable op.
 
-Each check builds a tiny double-precision instance, projects the output
+`run_gradient_suite` is one table with an entry per op. Each entry builds
+a tiny double-precision instance through `_op_check`, projects the output
 onto a fixed random direction to get a scalar, runs the hand-derived
-backward pass, and compares every parameter entry against central
-differences. The end-to-end check runs the whole model plus the focal
-loss on a micro configuration with a sampled subset of entries per
-tensor.
+backward pass, and compares every entry of the input and the parameters
+against central differences. The end-to-end check runs the whole model
+plus the focal loss on a micro configuration with a sampled subset of
+entries per tensor.
+
+All entries draw from one generator in table order. Within an entry the
+draws are: parameter groups (built as the entry's arguments), the input,
+the named weights, then the projection. Reordering entries or draws
+changes every later instance, so the table keeps this order.
 """
 
 from __future__ import annotations
@@ -31,10 +37,6 @@ from .ndiff.gru import GruCellParams, bigru, bigru_vjp, gru_sequence, gru_sequen
 from .ndiff.tensor import Tensor
 from .train.focal import focal_loss, focal_loss_vjp
 
-DEFAULT_TOL = 1e-4
-DEFAULT_STEP = 1e-5
-
-
 def micro_config(num_classes: int = 2, seed: int = 0) -> WlannConfig:
     """A double-precision configuration small enough for exhaustive checks.
 
@@ -57,175 +59,27 @@ def micro_config(num_classes: int = 2, seed: int = 0) -> WlannConfig:
     )
 
 
-def _param(rng, shape, name, scale=0.5):
-    return Tensor(rng.standard_normal(shape) * scale, name=name)
+def _op_check(
+    rng, prefix, op, op_vjp, x_shape, weights=None, groups=(), args=(), scale=0.5
+) -> GradCheckReport:
+    """Probe `op`/`op_vjp` on one random instance through `proj · y`.
 
-
-def _projected(rng, shape):
-    return rng.standard_normal(shape)
-
-
-def _check_conv1d(rng) -> GradCheckReport:
-    x = _param(rng, (2, 11), "conv.x")
-    w = _param(rng, (3, 2, 4), "conv.w")
-    b = _param(rng, (3,), "conv.b")
-    proj = _projected(rng, (3, 4))
+    Draws `{prefix}.x`, then each named weight `{prefix}.{name}`, both
+    scaled by `scale`, then a projection shaped like the output. `groups`
+    hold parameter objects the caller built, so their draws come first.
+    """
+    x = Tensor(rng.standard_normal(x_shape) * scale, name=f"{prefix}.x")
+    ws = [Tensor(rng.standard_normal(shape) * scale, name=f"{prefix}.{name}")
+          for name, shape in (weights or {}).items()]
+    operands = (*ws, *groups, *args)
+    proj = rng.standard_normal(op(x.data, *operands)[0].shape)
+    tensors = [x, *ws, *(t for group in groups for t in group.tensors())]
 
     def f():
-        for p in (x, w, b):
+        for p in tensors:
             p.zero_grad()
-        y, cache = F.conv1d(x.data, w, b, stride=2)
-        x.add_grad(F.conv1d_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, [x, w, b])
-
-
-def _check_linear(rng) -> GradCheckReport:
-    x = _param(rng, (5, 3), "linear.x")
-    w = _param(rng, (4, 3), "linear.w")
-    b = _param(rng, (4,), "linear.b")
-    proj = _projected(rng, (5, 4))
-
-    def f():
-        for p in (x, w, b):
-            p.zero_grad()
-        y, cache = F.linear(x.data, w, b)
-        x.add_grad(F.linear_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, [x, w, b])
-
-
-def _elementwise_check(rng, name, op, op_vjp) -> GradCheckReport:
-    x = Tensor(rng.standard_normal((4, 5)), name=f"{name}.x")
-    proj = _projected(rng, (4, 5))
-
-    def f():
-        x.zero_grad()
-        y, cache = op(x.data)
+        y, cache = op(x.data, *operands)
         x.add_grad(op_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, [x])
-
-
-def _check_softmax(rng) -> GradCheckReport:
-    x = _param(rng, (4, 6), "softmax.x")
-    proj = _projected(rng, (4, 6))
-
-    def f():
-        x.zero_grad()
-        y, cache = F.softmax(x.data, axis=-1)
-        x.add_grad(F.softmax_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, [x])
-
-
-def _check_layer_norm(rng) -> GradCheckReport:
-    x = _param(rng, (6, 5), "ln.x")
-    gain = _param(rng, (5,), "ln.gain")
-    shift = _param(rng, (5,), "ln.shift")
-    proj = _projected(rng, (6, 5))
-
-    def f():
-        for p in (x, gain, shift):
-            p.zero_grad()
-        y, cache = F.layer_norm(x.data, gain, shift)
-        x.add_grad(F.layer_norm_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, [x, gain, shift])
-
-
-def _check_mean_pool(rng) -> GradCheckReport:
-    x = _param(rng, (3, 4, 5), "meanpool.x")
-    proj = _projected(rng, (3, 5))
-
-    def f():
-        x.zero_grad()
-        y, cache = F.mean_pool(x.data, axis=1)
-        x.add_grad(F.mean_pool_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, [x])
-
-
-def _check_adaptive_pool(rng) -> GradCheckReport:
-    x = _param(rng, (7, 3), "adapool.x")
-    proj = _projected(rng, (3, 3))
-
-    def f():
-        x.zero_grad()
-        y, cache = F.adaptive_mean_pool(x.data, 3)
-        x.add_grad(F.adaptive_mean_pool_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, [x])
-
-
-def _check_attention(rng) -> GradCheckReport:
-    params = AttentionParams.create(4, 2, rng, prefix="mhsa")
-    x = _param(rng, (3, 4), "mhsa.x")
-    proj = _projected(rng, (3, 4))
-    tensors = [x, *params.tensors()]
-
-    def f():
-        for p in tensors:
-            p.zero_grad()
-        y, cache = mhsa(x.data, params)
-        x.add_grad(mhsa_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, tensors)
-
-
-def _check_transformer_block(rng) -> GradCheckReport:
-    params = TransformerBlockParams.create(4, 2, rng, prefix="block")
-    x = _param(rng, (3, 4), "block.x")
-    proj = _projected(rng, (3, 4))
-    tensors = [x, *params.tensors()]
-
-    def f():
-        for p in tensors:
-            p.zero_grad()
-        y, cache = transformer_block(x.data, params)
-        x.add_grad(transformer_block_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, tensors)
-
-
-def _check_gru_sequence(rng) -> GradCheckReport:
-    """Four steps, so the gradient carried back through the hidden state is probed."""
-    params = GruCellParams.create(3, 3, rng, prefix="gruseq")
-    x = _param(rng, (4, 3), "gruseq.x")
-    proj = _projected(rng, (4, 3))
-    tensors = [x, *params.tensors()]
-
-    def f():
-        for p in tensors:
-            p.zero_grad()
-        y, cache = gru_sequence(x.data, params)
-        x.add_grad(gru_sequence_vjp(proj, cache))
-        return float(np.sum(proj * y))
-
-    return grad_check(f, tensors)
-
-
-def _check_bigru(rng) -> GradCheckReport:
-    fwd = GruCellParams.create(3, 2, rng, prefix="bigru.fwd")
-    bwd = GruCellParams.create(3, 2, rng, prefix="bigru.bwd")
-    x = _param(rng, (5, 3), "bigru.x")
-    proj = _projected(rng, (5, 4))
-    tensors = [x, *fwd.tensors(), *bwd.tensors()]
-
-    def f():
-        for p in tensors:
-            p.zero_grad()
-        y, cache = bigru(x.data, fwd, bwd)
-        x.add_grad(bigru_vjp(proj, cache))
         return float(np.sum(proj * y))
 
     return grad_check(f, tensors)
@@ -271,18 +125,31 @@ def run_gradient_suite(seed: int = 0, e2e_samples: int = 6) -> list[tuple[str, G
     """All per-operation checks plus the end-to-end model check."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6AD]))
     return [
-        ("conv1d", _check_conv1d(rng)),
-        ("linear", _check_linear(rng)),
-        ("gelu", _elementwise_check(rng, "gelu", F.gelu, F.gelu_vjp)),
-        ("sigmoid", _elementwise_check(rng, "sigmoid", F.sigmoid, F.sigmoid_vjp)),
-        ("softmax", _check_softmax(rng)),
-        ("layer_norm", _check_layer_norm(rng)),
-        ("mean_pool", _check_mean_pool(rng)),
-        ("adaptive_mean_pool", _check_adaptive_pool(rng)),
-        ("multi_head_self_attention", _check_attention(rng)),
-        ("transformer_block", _check_transformer_block(rng)),
-        ("gru_sequence", _check_gru_sequence(rng)),
-        ("bigru", _check_bigru(rng)),
+        ("conv1d", _op_check(rng, "conv", F.conv1d, F.conv1d_vjp, (2, 11),
+                             {"w": (3, 2, 4), "b": (3,)}, args=(2,))),
+        ("linear", _op_check(rng, "linear", F.linear, F.linear_vjp, (5, 3), {"w": (4, 3), "b": (4,)})),
+        ("gelu", _op_check(rng, "gelu", F.gelu, F.gelu_vjp, (4, 5), scale=1.0)),
+        ("sigmoid", _op_check(rng, "sigmoid", F.sigmoid, F.sigmoid_vjp, (4, 5), scale=1.0)),
+        ("softmax", _op_check(rng, "softmax", F.softmax, F.softmax_vjp, (4, 6))),
+        ("layer_norm", _op_check(rng, "ln", F.layer_norm, F.layer_norm_vjp, (6, 5),
+                                 {"gain": (5,), "shift": (5,)})),
+        ("mean_pool", _op_check(rng, "meanpool", F.mean_pool, F.mean_pool_vjp, (3, 4, 5), args=(1,))),
+        ("adaptive_mean_pool", _op_check(rng, "adapool", F.adaptive_mean_pool,
+                                         F.adaptive_mean_pool_vjp, (7, 3), args=(3,))),
+        ("multi_head_self_attention", _op_check(
+            rng, "mhsa", mhsa, mhsa_vjp, (3, 4),
+            groups=[AttentionParams.create(4, 2, rng, prefix="mhsa")])),
+        ("transformer_block", _op_check(
+            rng, "block", transformer_block, transformer_block_vjp, (3, 4),
+            groups=[TransformerBlockParams.create(4, 2, rng, prefix="block")])),
+        # Four steps, so the gradient carried back through the hidden state is probed.
+        ("gru_sequence", _op_check(
+            rng, "gruseq", gru_sequence, gru_sequence_vjp, (4, 3),
+            groups=[GruCellParams.create(3, 3, rng, prefix="gruseq")])),
+        ("bigru", _op_check(
+            rng, "bigru", bigru, bigru_vjp, (5, 3),
+            groups=[GruCellParams.create(3, 2, rng, prefix="bigru.fwd"),
+                    GruCellParams.create(3, 2, rng, prefix="bigru.bwd")])),
         ("focal_loss", _check_focal_loss(rng)),
         ("end_to_end_micro_model", _check_end_to_end(rng, samples_per_tensor=e2e_samples)),
     ]

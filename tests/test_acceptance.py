@@ -165,6 +165,30 @@ class TestCriterion3GradientSuite:
         checked = {name for name, _ in results} - {"focal_loss", "end_to_end_micro_model"}
         assert checked == set(ndiff_vjp_pairs())
 
+    def test_every_entry_probes_its_input_and_parameters(self):
+        # (tensors probed, entries probed) per entry. An entry that leaves out a
+        # parameter group still passes at 1e-4, so the counts are pinned.
+        probed = {
+            name: (len(report.checks), sum(c.entries_checked for c in report.checks))
+            for name, report in run_gradient_suite(seed=0, e2e_samples=6)
+        }
+        assert probed == {
+            "conv1d": (3, 49),
+            "linear": (3, 31),
+            "gelu": (1, 20),
+            "sigmoid": (1, 20),
+            "softmax": (1, 24),
+            "layer_norm": (3, 40),
+            "mean_pool": (1, 60),
+            "adaptive_mean_pool": (1, 21),
+            "multi_head_self_attention": (9, 92),
+            "transformer_block": (17, 256),
+            "gru_sequence": (10, 75),
+            "bigru": (19, 87),
+            "focal_loss": (1, 5),
+            "end_to_end_micro_model": (57, 320),
+        }
+
     def test_float32_inputs_give_float32_outputs(self, rng, grad_dtypes):
         # Every forward/VJP pair in wlann.ndiff has a float32 case here.
         cases = float32_cases(rng)

@@ -125,6 +125,13 @@ class TestPipeline:
         assert "epochs must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_batch_size_is_validation_error(self, workspace, capsys):
+        out = workspace / "never.wlann"
+        assert run_cli("train", "--data", str(workspace / "corpus"), "--config",
+                       str(workspace / "config.json"), "--batch-size", "0", "--out", str(out)) == 1
+        assert "batch size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_is_validation_error(self, workspace, capsys, jobs):
         report = workspace / "never.json"

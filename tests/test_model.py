@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wlann.dataio import AudioClip
+from wlann.dataio import NUM_CLASSES, AudioClip
 from wlann.dsp.mel import LogMelSpectrogram
 from wlann.errors import ConfigError, ShapeError
 from wlann.model import (
@@ -17,7 +17,13 @@ from wlann.model import (
     prepare_input,
     waveform_branch,
 )
-from wlann.model.config import AstBranchConfig, AugmentConfig, BandpassConfig, CnnBranchConfig
+from wlann.model.config import (
+    AstBranchConfig,
+    AugmentConfig,
+    BandpassConfig,
+    CnnBranchConfig,
+    OptimizerConfig,
+)
 from wlann.verify import micro_config
 
 from conftest import small_train_config
@@ -63,6 +69,27 @@ class TestConfigValidation:
     def test_bandpass_order_enforced(self):
         with pytest.raises(ConfigError, match="band-pass order"):
             WlannConfig(bandpass=BandpassConfig(order=0))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_enforced(self, batch_size):
+        with pytest.raises(ConfigError, match="batch size"):
+            WlannConfig(optimizer=OptimizerConfig(batch_size=batch_size))
+
+    @pytest.mark.parametrize("strengths", [(-1, 24, 2), (5, -1, 2), (5, 24, -1), (0, -3, 0)])
+    def test_negative_augment_strength_rejected(self, strengths):
+        with pytest.raises(ConfigError, match="augmentation strengths"):
+            WlannConfig(augment=AugmentConfig(*strengths))
+
+    def test_time_warp_must_fit_spectrogram(self):
+        assert WlannConfig().spec_frames == 798
+        WlannConfig(augment=AugmentConfig(time_warp_frames=398))
+        with pytest.raises(ConfigError, match="time warp"):
+            WlannConfig(augment=AugmentConfig(time_warp_frames=399))
+
+    def test_num_classes_bounded_by_label_set(self):
+        WlannConfig(num_classes=NUM_CLASSES)
+        with pytest.raises(ConfigError, match="num_classes"):
+            WlannConfig(num_classes=NUM_CLASSES + 1)
 
     def test_heads_divisibility_enforced(self):
         with pytest.raises(ConfigError, match="heads"):

@@ -179,15 +179,31 @@ class TestCheckpointArchive:
             load_archive(path)
         assert err.value.code == "trailing_bytes"
 
+    @staticmethod
+    def load_with_header(path, header):
+        """Load a 16-byte payload behind a hand-written JSON header."""
+        raw = json.dumps(header).encode()
+        path.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 16)
+        return load_archive(path)
+
     @pytest.mark.parametrize("shape, offset", [([4], -4), ([4], -1), ([-1], 0), ([-2, -2], 0)])
     def test_negative_table_entry_code(self, tmp_path, shape, offset):
-        header = json.dumps({"tensors": [{"name": "w", "shape": shape, "offset": offset}]}).encode()
-        path = tmp_path / "t.wlann"
-        path.write_bytes(
-            checkpoint.MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 16
-        )
         with pytest.raises(CheckpointError) as err:
-            load_archive(path)
+            self.load_with_header(tmp_path / "t.wlann",
+                                  {"tensors": [{"name": "w", "shape": shape, "offset": offset}]})
+        assert err.value.code == "bad_magic"
+
+    @pytest.mark.parametrize("header", [
+        {"tensors": [{"name": "w", "shape": [4]}]},
+        {"tensors": [{"name": "w", "shape": ["a"], "offset": 0}]},
+        {"tensors": [{"name": "w", "shape": [1.5], "offset": 0}]},
+        {"tensors": [{"name": "w", "shape": [4], "offset": "x"}]},
+        {"tensors": [5]},
+        [{"name": "w", "shape": [4], "offset": 0}],
+    ], ids=["no_offset", "str_dim", "float_dim", "str_offset", "int_entry", "list_header"])
+    def test_malformed_table_entry_code(self, tmp_path, header):
+        with pytest.raises(CheckpointError) as err:
+            self.load_with_header(tmp_path / "t.wlann", header)
         assert err.value.code == "bad_magic"
 
     def test_failed_write_keeps_previous_archive(self, tmp_path, rng, monkeypatch):
