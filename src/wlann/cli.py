@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .dataio import (
     load_wav,
 )
 from .dataio.events import LABELS
+from .dsp.augment import spec_augment
 from .errors import NumericError, StorageError, ValidationError, WlannError
 from .model.config import WlannConfig
 from .model.network import predict_scores
@@ -105,17 +107,14 @@ def _load_config(args) -> WlannConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "lr", None) is not None or getattr(args, "batch_size", None) is not None:
-        opt = cfg.optimizer
-        opt_kwargs = {}
-        if getattr(args, "lr", None) is not None:
-            opt_kwargs["learning_rate"] = args.lr
-        if getattr(args, "batch_size", None) is not None:
-            opt_kwargs["batch_size"] = args.batch_size
-        from dataclasses import replace
-
-        overrides["optimizer"] = replace(opt, **opt_kwargs)
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    opt_overrides = {}
+    if getattr(args, "lr", None) is not None:
+        opt_overrides["learning_rate"] = args.lr
+    if getattr(args, "batch_size", None) is not None:
+        opt_overrides["batch_size"] = args.batch_size
+    if opt_overrides:
+        overrides["optimizer"] = replace(cfg.optimizer, **opt_overrides)
+    return replace(cfg, **overrides)
 
 
 def _cmd_synth(args) -> int:
@@ -131,7 +130,9 @@ def _cmd_synth(args) -> int:
 def _cmd_features(args) -> int:
     cfg = _load_config(args)
     clip = load_wav(args.wav)
-    waveform, spec = prepare_input(clip, cfg, train_mode=args.augment, augment_seed=args.seed)
+    waveform, spec = prepare_input(clip, cfg)
+    if args.augment:
+        spec = spec_augment(spec, cfg.augment, args.seed)
     save_archive(
         args.out,
         kind="features",
@@ -172,7 +173,7 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     cfg, params, _ = load_checkpoint(args.model)
     clip = load_wav(args.wav)
-    waveform, spec = prepare_input(clip, cfg, train_mode=False)
+    waveform, spec = prepare_input(clip, cfg)
     scores = predict_scores(waveform, spec, params, cfg)
     predicted = LABELS[int(np.argmax(scores))]
     print(f"prediction: {predicted.value}")

@@ -1,7 +1,7 @@
 """Deterministic signal preprocessing: resampling, band-pass filtering,
 log-mel extraction, and spectrogram augmentation."""
 
-from .augment import AugmentParams, spec_augment
+from .augment import AugmentConfig, spec_augment
 from .butterworth import BandpassFilter, apply_filter, design_butterworth_bandpass
 from .mel import (
     ENERGY_FLOOR,
@@ -20,7 +20,7 @@ from .mel import (
 from .resample import resample
 
 __all__ = [
-    "AugmentParams",
+    "AugmentConfig",
     "BandpassFilter",
     "ENERGY_FLOOR",
     "FFT_SIZE",

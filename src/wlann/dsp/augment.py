@@ -1,41 +1,36 @@
 """Training-time spectrogram augmentation: time warping plus frequency masking.
 
-The warp is the two-segment piecewise-linear variant: one interior pivot
-frame is displaced along the time axis and the two halves of the
-spectrogram are linearly re-timed around it, endpoints fixed. Frequency
-masks overwrite whole mel rows with the spectrogram's mean value rather
-than a floor constant, so masked features stay inside the normal value
-range. Everything is driven by an explicit seed.
+`AugmentConfig` is the one declaration of the augmentation strengths;
+`spec_augment(spec, aug, seed)` applies them. The warp is the
+two-segment piecewise-linear variant: one interior pivot frame is
+displaced along the time axis and the two halves of the spectrogram are
+linearly re-timed around it, endpoints fixed. Frequency masks overwrite
+whole mel rows with the spectrogram's mean value rather than a floor
+constant, so masked features stay inside the normal value range.
+Everything is driven by the explicit seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ConfigError, ValidationError
 from .mel import LogMelSpectrogram
 
 
 @dataclass(frozen=True)
-class AugmentParams:
-    """Knobs for spec_augment; zeros everywhere make it the identity."""
+class AugmentConfig:
+    """Training-time spectrogram augmentation strengths (0 disables)."""
 
     time_warp_frames: int = 5
     freq_mask_width: int = 24
     freq_mask_count: int = 2
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.time_warp_frames < 0 or self.freq_mask_width < 0 or self.freq_mask_count < 0:
-            raise ValidationError("augmentation parameters must be non-negative")
-
-    def validate_for(self, mel_bins: int) -> None:
-        if self.freq_mask_width >= mel_bins:
-            raise ValidationError(
-                f"frequency mask width {self.freq_mask_width} must be < {mel_bins} mel bins"
-            )
+        if min(asdict(self).values()) < 0:
+            raise ConfigError(f"augmentation strengths must be >= 0, got {self}")
 
 
 def _warp_positions(num_frames: int, pivot: int, shift: int) -> np.ndarray:
@@ -62,16 +57,22 @@ def _linear_resample_columns(values: np.ndarray, positions: np.ndarray) -> np.nd
     return values[:, lower] * (1.0 - frac) + values[:, upper] * frac
 
 
-def spec_augment(spec: LogMelSpectrogram, params: AugmentParams) -> LogMelSpectrogram:
-    """Apply time warping then frequency masking; deterministic given the seed."""
-    params.validate_for(spec.mel_bins)
+def spec_augment(spec: LogMelSpectrogram, aug: AugmentConfig, seed: int) -> LogMelSpectrogram:
+    """Apply time warping then frequency masking; deterministic given the seed.
+
+    All-zero strengths return an unchanged copy.
+    """
+    if aug.freq_mask_width >= spec.mel_bins:
+        raise ValidationError(
+            f"frequency mask width {aug.freq_mask_width} must be < {spec.mel_bins} mel bins"
+        )
     num_frames = spec.num_frames
-    warp = params.time_warp_frames
+    warp = aug.time_warp_frames
     if warp > 0 and 2 * warp >= num_frames:
         raise ValidationError(
             f"time warp of {warp} frames is degenerate for a {num_frames}-frame spectrogram"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(params.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     values = spec.values.copy()
 
     if warp > 0:
@@ -80,18 +81,11 @@ def spec_augment(spec: LogMelSpectrogram, params: AugmentParams) -> LogMelSpectr
         if shift != 0:
             values = _linear_resample_columns(values, _warp_positions(num_frames, pivot, shift))
 
-    if params.freq_mask_count > 0 and params.freq_mask_width > 0:
+    if aug.freq_mask_count > 0 and aug.freq_mask_width > 0:
         fill = float(values.mean())
-        for _ in range(params.freq_mask_count):
-            width = int(rng.integers(0, params.freq_mask_width + 1))
+        for _ in range(aug.freq_mask_count):
+            width = int(rng.integers(0, aug.freq_mask_width + 1))
             start = int(rng.integers(0, spec.mel_bins - width + 1))
             values[start : start + width, :] = fill
 
-    return LogMelSpectrogram(
-        values=values,
-        mel_bins=spec.mel_bins,
-        window_ms=spec.window_ms,
-        hop_ms=spec.hop_ms,
-        sample_rate_hz=spec.sample_rate_hz,
-        filter_centers_hz=spec.filter_centers_hz,
-    )
+    return LogMelSpectrogram(values)

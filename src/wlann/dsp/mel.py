@@ -9,7 +9,7 @@ the natural log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -83,18 +83,17 @@ class LogMelSpectrogram:
     """Log filterbank energies, shaped (mel bins, frames)."""
 
     values: np.ndarray
-    mel_bins: int = MEL_BINS
-    window_ms: int = WINDOW_MS
-    hop_ms: int = HOP_MS
-    sample_rate_hz: int = SAMPLE_RATE_HZ
-    filter_centers_hz: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] != self.mel_bins:
+        if self.values.ndim != 2 or self.values.shape[0] != MEL_BINS:
             raise ValidationError(
-                f"log-mel values must be ({self.mel_bins}, frames), got {self.values.shape}"
+                f"log-mel values must be ({MEL_BINS}, frames), got {self.values.shape}"
             )
+
+    @property
+    def mel_bins(self) -> int:
+        return self.values.shape[0]
 
     @property
     def num_frames(self) -> int:
@@ -102,8 +101,8 @@ class LogMelSpectrogram:
 
 
 @lru_cache(maxsize=1)
-def _cached_filterbank() -> tuple[np.ndarray, np.ndarray]:
-    return mel_filterbank()
+def _cached_filterbank() -> np.ndarray:
+    return mel_filterbank()[0]
 
 
 def log_mel(clip: AudioClip) -> LogMelSpectrogram:
@@ -113,7 +112,7 @@ def log_mel(clip: AudioClip) -> LogMelSpectrogram:
             f"log-mel extraction expects {SAMPLE_RATE_HZ} Hz input, got {clip.sample_rate_hz} Hz"
         )
     frame_count(len(clip))  # rejects clips shorter than one window
-    weights, centers = _cached_filterbank()
+    weights = _cached_filterbank()
 
     window = np.hamming(WINDOW_SAMPLES)
     frames = sliding_window_view(clip.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
@@ -122,4 +121,4 @@ def log_mel(clip: AudioClip) -> LogMelSpectrogram:
 
     energies = power @ weights.T  # (frames, mel)
     values = np.log(np.maximum(energies, ENERGY_FLOOR)).T
-    return LogMelSpectrogram(values=values, filter_centers_hz=centers)
+    return LogMelSpectrogram(values)

@@ -18,7 +18,7 @@ class FormatError(ValidationError):
 
 
 class ShapeError(ValidationError):
-    """Tensor or signal shapes violate an operation's contract."""
+    """Tensor or signal shapes or dtypes violate an operation's contract."""
 
 
 class ConfigError(ValidationError):

@@ -24,7 +24,7 @@ from .network import (
     waveform_branch,
     waveform_branch_vjp,
 )
-from .pipeline import augment_spectrogram, pad_or_crop_center, prepare_input
+from .pipeline import pad_or_crop_center, prepare_input
 
 __all__ = [
     "AstBranchConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "WlannParams",
     "ast_branch",
     "ast_branch_vjp",
-    "augment_spectrogram",
     "backward",
     "classify_head",
     "classify_head_vjp",

@@ -9,13 +9,14 @@ properties and validated once at construction.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..dataio.events import NUM_CLASSES
 from ..dsp import mel as meldsp
+from ..dsp.augment import AugmentConfig
 from ..errors import ConfigError
 from ..ndiff.functional import conv1d_output_length
 
@@ -48,15 +49,6 @@ class AstBranchConfig:
     embed_dim: int = 64
     depth: int = 2
     heads: int = 4
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Training-time spectrogram augmentation strengths (0 disables)."""
-
-    time_warp_frames: int = 5
-    freq_mask_width: int = 24
-    freq_mask_count: int = 2
 
 
 @dataclass(frozen=True)
@@ -187,8 +179,6 @@ class WlannConfig:
             raise ConfigError(
                 f"fixed input yields {self.spec_frames} frames; patches need >= {self.ast.patch_size}"
             )
-        if min(asdict(self.augment).values()) < 0:
-            raise ConfigError(f"augmentation strengths must be >= 0, got {self.augment}")
         if self.augment.freq_mask_width >= self.ast.mel_bins:
             raise ConfigError("frequency mask width must be < mel_bins")
         warp = self.augment.time_warp_frames
@@ -231,6 +221,8 @@ class WlannConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WlannConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be an object, got {type(data).__name__}")
         payload = dict(data)
         payload.pop("features", None)
         sections = {
@@ -241,28 +233,30 @@ class WlannConfig:
             "optimizer": OptimizerConfig,
         }
         kwargs = {}
-        for key, value in payload.items():
-            if key in sections:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be an object")
-                section_cls = sections[key]
-                valid = set(section_cls.__dataclass_fields__)
-                unknown = set(value) - valid
-                if unknown:
-                    raise ConfigError(f"unknown keys in config section {key!r}: {sorted(unknown)}")
-                coerced = dict(value)
-                for tuple_key in ("block_strides", "channel_widths"):
-                    if tuple_key in coerced:
-                        coerced[tuple_key] = tuple(coerced[tuple_key])
-                kwargs[key] = section_cls(**coerced)
-            elif key in cls.__dataclass_fields__:
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        return cls(**kwargs)
-
-    def with_overrides(self, **kwargs) -> "WlannConfig":
-        return replace(self, **kwargs)
+        try:
+            for key, value in payload.items():
+                if key in sections:
+                    if not isinstance(value, dict):
+                        raise ConfigError(f"config section {key!r} must be an object")
+                    section_cls = sections[key]
+                    valid = set(section_cls.__dataclass_fields__)
+                    unknown = set(value) - valid
+                    if unknown:
+                        raise ConfigError(
+                            f"unknown keys in config section {key!r}: {sorted(unknown)}"
+                        )
+                    coerced = dict(value)
+                    for tuple_key in ("block_strides", "channel_widths"):
+                        if tuple_key in coerced:
+                            coerced[tuple_key] = tuple(coerced[tuple_key])
+                    kwargs[key] = section_cls(**coerced)
+                elif key in cls.__dataclass_fields__:
+                    kwargs[key] = value
+                else:
+                    raise ConfigError(f"unknown config key {key!r}")
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ConfigError(f"config value of the wrong type: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

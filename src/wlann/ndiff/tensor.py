@@ -46,6 +46,11 @@ class Tensor:
                 f"gradient shape {delta.shape} does not match parameter "
                 f"{self.name or '<unnamed>'} shape {self.data.shape}"
             )
+        if delta.dtype != self.data.dtype:
+            raise ShapeError(
+                f"gradient dtype {delta.dtype} does not match parameter "
+                f"{self.name or '<unnamed>'} dtype {self.data.dtype}"
+            )
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += delta

@@ -169,7 +169,7 @@ def evaluate(
         raise ValidationError(f"split {split.name!r} is empty")
 
     def predict_one(event) -> Label:
-        waveform, spec = prepare_input(corpus.event_clip(event), cfg, train_mode=False)
+        waveform, spec = prepare_input(corpus.event_clip(event), cfg)
         scores = predict_scores(waveform, spec, params, cfg)
         return LABELS[int(np.argmax(scores))]
 

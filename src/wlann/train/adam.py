@@ -5,29 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericError
+from ..model.config import OptimizerConfig
 from ..ndiff.tensor import Tensor
 
 
 class Adam:
-    """Standard bias-corrected Adam; moments live alongside each parameter."""
+    """Standard bias-corrected Adam; moments live alongside each parameter.
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        learning_rate: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        clip_norm: float = 1.0,
-        weight_decay: float = 0.0,
-    ):
+    Every hyperparameter (learning rate, betas, eps, clip norm, weight
+    decay) is read from the `OptimizerConfig` it is given.
+    """
+
+    def __init__(self, params: list[Tensor], cfg: OptimizerConfig):
         self.params = list(params)
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.clip_norm = clip_norm
-        self.weight_decay = weight_decay
+        self.cfg = cfg
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -40,27 +31,27 @@ class Adam:
         return float(np.sqrt(total))
 
     def step(self) -> None:
+        cfg = self.cfg
         norm = self.global_grad_norm()
         if not np.isfinite(norm):
             raise NumericError(f"non-finite gradient norm at optimizer step {self.step_count + 1}")
         scale = 1.0
-        if self.clip_norm > 0 and norm > self.clip_norm:
-            scale = self.clip_norm / norm
+        if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+            scale = cfg.clip_norm / norm
         self.step_count += 1
-        correction1 = 1.0 - self.beta1**self.step_count
-        correction2 = 1.0 - self.beta2**self.step_count
+        correction1 = 1.0 - cfg.beta1**self.step_count
+        correction2 = 1.0 - cfg.beta2**self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             grad = (p.grad if p.grad is not None else np.zeros_like(p.data)) * scale
-            grad = grad.astype(p.data.dtype)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * grad
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * grad * grad
             m_hat = m / correction1
             v_hat = v / correction2
-            update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay > 0.0:
-                update = update + (self.learning_rate * self.weight_decay) * p.data
+            update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            if cfg.weight_decay > 0.0:
+                update = update + (cfg.learning_rate * cfg.weight_decay) * p.data
             p.data = p.data - update
 
     def zero_grads(self) -> None:

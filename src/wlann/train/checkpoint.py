@@ -103,10 +103,22 @@ def load_archive(path: str | Path) -> Archive:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(CHECKPOINT_BAD_MAGIC, f"{path}: corrupt header ({exc})") from exc
 
-    table = header.get("tensors", []) if isinstance(header, dict) else None
-    if not isinstance(table, list):
+    if not isinstance(header, dict):
+        raise CheckpointError(CHECKPOINT_BAD_MAGIC, f"{path}: corrupt header (not an object)")
+    kind = header.get("kind", "checkpoint")
+    config = header.get("config", {})
+    metadata = header.get("metadata", {})
+    table = header.get("tensors", [])
+    if not (
+        isinstance(kind, str)
+        and isinstance(config, dict)
+        and isinstance(metadata, dict)
+        and isinstance(table, list)
+    ):
         raise CheckpointError(
-            CHECKPOINT_BAD_MAGIC, f"{path}: corrupt header (not an object with a tensor list)"
+            CHECKPOINT_BAD_MAGIC,
+            f"{path}: corrupt header (needs a string kind, object config and metadata, "
+            "and a tensor list)",
         )
 
     payload = raw[header_start + header_len :]
@@ -130,12 +142,7 @@ def load_archive(path: str | Path) -> Archive:
             CHECKPOINT_TRAILING_BYTES,
             f"{path}: {len(payload) - table_end} bytes after the last tensor",
         )
-    return Archive(
-        kind=header.get("kind", "checkpoint"),
-        config=header.get("config", {}),
-        metadata=header.get("metadata", {}),
-        tensors=tensors,
-    )
+    return Archive(kind=kind, config=config, metadata=metadata, tensors=tensors)
 
 
 def _table_entry(entry, path: Path) -> tuple[str, tuple[int, ...], int]:

@@ -17,11 +17,12 @@ import numpy as np
 from ..dataio.audio import AudioClip
 from ..dataio.events import LABELS, RespiratoryEvent
 from ..dataio.splits import DatasetSplit
+from ..dsp.augment import spec_augment
 from ..dsp.mel import LogMelSpectrogram
-from ..errors import NumericError, ValidationError
+from ..errors import CHECKPOINT_BAD_MAGIC, CheckpointError, NumericError, ValidationError
 from ..model.config import WlannConfig
 from ..model.network import WlannParams, backward, forward
-from ..model.pipeline import augment_spectrogram, prepare_input
+from ..model.pipeline import prepare_input
 from .adam import Adam
 from .checkpoint import Archive, load_archive, restore_parameters, save_archive
 from .focal import focal_loss, focal_loss_vjp, one_hot
@@ -51,17 +52,7 @@ class TrainState:
     @classmethod
     def create(cls, cfg: WlannConfig) -> "TrainState":
         params = WlannParams.create(cfg)
-        opt = cfg.optimizer
-        optimizer = Adam(
-            list(params.tensors()),
-            learning_rate=opt.learning_rate,
-            beta1=opt.beta1,
-            beta2=opt.beta2,
-            eps=opt.eps,
-            clip_norm=opt.clip_norm,
-            weight_decay=opt.weight_decay,
-        )
-        return cls(cfg=cfg, params=params, optimizer=optimizer)
+        return cls(cfg=cfg, params=params, optimizer=Adam(list(params.tensors()), cfg.optimizer))
 
 
 def augment_seed_for(base_seed: int, step: int, index: int) -> int:
@@ -72,7 +63,7 @@ def augment_seed_for(base_seed: int, step: int, index: int) -> int:
 def prepare_example(
     clip: AudioClip, event: RespiratoryEvent, cfg: WlannConfig, example_id: str | None = None
 ) -> PreparedExample:
-    waveform, spec = prepare_input(clip, cfg, train_mode=False)
+    waveform, spec = prepare_input(clip, cfg)
     return PreparedExample(
         example_id=example_id or f"{event.recording_id}@{event.onset_ms}",
         waveform=waveform,
@@ -88,15 +79,12 @@ def prepare_split(split: DatasetSplit, corpus, cfg: WlannConfig) -> list[Prepare
     return examples
 
 
-def train_step(
-    batch: list[PreparedExample],
-    state: TrainState,
-    train_mode: bool = True,
-) -> tuple[float, int]:
+def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, int]:
     """One optimizer update on a batch of prepared examples; returns (mean loss, correct count).
 
-    In train mode each example's cached spectrogram is augmented with a
-    seed derived from (config seed, step, batch index).
+    Each example's cached spectrogram is augmented by `spec_augment` with
+    the config's `augment` strengths and a seed derived from (config
+    seed, step, batch index); all-zero strengths leave it unchanged.
     """
     if not batch:
         raise ValidationError("training batch is empty")
@@ -106,9 +94,8 @@ def train_step(
     correct = 0
     scale = 1.0 / len(batch)
     for index, example in enumerate(batch):
-        spec = example.base_spec
-        if train_mode:
-            spec = augment_spectrogram(spec, cfg, augment_seed_for(cfg.seed, state.step, index))
+        seed = augment_seed_for(cfg.seed, state.step, index)
+        spec = spec_augment(example.base_spec, cfg.augment, seed)
         scores, cache = forward(example.waveform, spec, state.params, cfg)
         target = one_hot(example.label_index, cfg.num_classes, dtype=scores.dtype)
         loss, loss_cache = focal_loss(scores, target, cfg.focal_gamma)
@@ -205,6 +192,12 @@ def load_checkpoint(path: str | Path) -> tuple[WlannConfig, WlannParams, Archive
 def load_train_state(path: str | Path) -> TrainState:
     """Rebuild a full training state (parameters + optimizer moments)."""
     archive = load_archive(path)
+    counters = {key: archive.metadata.get(key, 0) for key in ("step", "epoch", "optimizer_steps")}
+    for key, value in counters.items():
+        if type(value) is not int:
+            raise CheckpointError(
+                CHECKPOINT_BAD_MAGIC, f"{path}: metadata {key!r} must be an integer, got {value!r}"
+            )
     cfg = WlannConfig.from_dict(archive.config)
     state = TrainState.create(cfg)
     restore_parameters(archive, state.params.named())
@@ -216,7 +209,7 @@ def load_train_state(path: str | Path) -> TrainState:
                 if stored.shape != buffer.shape:
                     raise ValidationError(f"optimizer moment {key} has shape {stored.shape}")
                 buffer[...] = stored.astype(buffer.dtype)
-    state.step = int(archive.metadata.get("step", 0))
-    state.epoch = int(archive.metadata.get("epoch", 0))
-    state.optimizer.step_count = int(archive.metadata.get("optimizer_steps", 0))
+    state.step = counters["step"]
+    state.epoch = counters["epoch"]
+    state.optimizer.step_count = counters["optimizer_steps"]
     return state

@@ -297,7 +297,7 @@ class TestCriterion6Overfit:
         assert len(batch) == 16
         final_loss, steps_taken = np.inf, 0
         for step in range(500):
-            loss, _ = train_step(batch, state, train_mode=False)
+            loss, _ = train_step(batch, state)
             steps_taken = step + 1
             final_loss = loss
             if loss < 0.01:
@@ -333,7 +333,7 @@ class TestCriterion7SyntheticSeparation:
 
         for split in (intra, inter):
             for event in split.events:
-                waveform, spec = prepare_input(corpus.event_clip(event), cfg, train_mode=False)
+                waveform, spec = prepare_input(corpus.event_clip(event), cfg)
                 pred = int(np.argmax(forward(waveform, spec, state.params, cfg)[0]))
                 total += 1
                 correct += pred == event.label.index

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from wlann.cli import build_parser, main
+from wlann.dataio import load_wav
+from wlann.dsp import spec_augment
+from wlann.model import AugmentConfig, WlannConfig, prepare_input
+from wlann.train import load_archive, save_archive
 
 from conftest import small_train_config
 
@@ -75,6 +79,34 @@ class TestPipeline:
         assert archive.tensors["logmel"].shape == (128, 98)
         assert archive.config["fixed_input_seconds"] == 1.0
 
+    def features(self, workspace, name, config, *extra):
+        wav = sorted((workspace / "corpus").glob("*.wav"))[0]
+        out = workspace / name
+        assert run_cli("features", "--wav", str(wav), "--out", str(out),
+                       "--config", str(config), *extra) == 0
+        return wav, load_archive(out)
+
+    def test_features_augment_applies_spec_augment(self, workspace):
+        cfg = small_train_config(augment=AugmentConfig(5, 24, 2))
+        config = workspace / "augment.json"
+        config.write_text(cfg.to_json())
+        wav, augmented = self.features(workspace, "aug.tns", config, "--augment", "--seed", "4")
+        _, plain = self.features(workspace, "plain.tns", config, "--seed", "4")
+
+        cfg = WlannConfig.from_dict(augmented.config)
+        expected = spec_augment(prepare_input(load_wav(wav), cfg)[1], cfg.augment, 4).values
+        np.testing.assert_array_equal(augmented.tensors["logmel"], expected.astype(np.float32))
+        assert not np.array_equal(augmented.tensors["logmel"], plain.tensors["logmel"])
+        np.testing.assert_array_equal(augmented.tensors["waveform"], plain.tensors["waveform"])
+
+    def test_features_augment_with_zero_strengths_changes_nothing(self, workspace):
+        config = workspace / "config.json"  # small_train_config: all strengths 0
+        _, augmented = self.features(workspace, "aug0.tns", config, "--augment", "--seed", "4")
+        _, plain = self.features(workspace, "plain0.tns", config, "--seed", "4")
+        assert augmented.tensors.keys() == plain.tensors.keys()
+        for name, values in plain.tensors.items():
+            np.testing.assert_array_equal(augmented.tensors[name], values)
+
     def test_train_eval_predict_cycle(self, workspace, capsys):
         corpus = str(workspace / "corpus")
         model = str(workspace / "model.wlann")
@@ -140,6 +172,13 @@ class TestPipeline:
                        "--report", str(report), "--jobs", jobs) == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_wrongly_typed_config_header_is_io_error(self, workspace, tmp_path, capsys):
+        model = tmp_path / "bad-config.wlann"
+        save_archive(model, "checkpoint", 5, {})
+        assert run_cli("eval", "--data", str(workspace / "corpus"), "--model", str(model),
+                       "--split", "intra", "--report", str(tmp_path / "r.json")) == 2
+        assert "corrupt header" in capsys.readouterr().err
 
     def test_missing_model_is_io_error(self, workspace, capsys):
         assert run_cli("predict", "--wav", "nope.wav", "--model",

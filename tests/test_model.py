@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wlann.dataio import NUM_CLASSES, AudioClip
-from wlann.dsp.mel import LogMelSpectrogram
+from wlann.dsp import LogMelSpectrogram, spec_augment
 from wlann.errors import ConfigError, ShapeError
 from wlann.model import (
     WlannConfig,
@@ -108,6 +108,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config key"):
             WlannConfig.from_dict({"not_a_field": 1})
 
+    @pytest.mark.parametrize("payload", [
+        5,
+        [{"seed": 1}],
+        {"fixed_input_seconds": "1"},
+        {"augment": {"time_warp_frames": "5"}},
+        {"cnn": {"channel_widths": 5}},
+    ], ids=["int_payload", "list_payload", "str_seconds", "str_warp", "int_widths"])
+    def test_wrongly_typed_payload_rejected(self, payload):
+        with pytest.raises(ConfigError):
+            WlannConfig.from_dict(payload)
+
 
 class TestPrepareInput:
     def test_short_event_zero_padded_to_center(self):
@@ -139,9 +150,10 @@ class TestPrepareInput:
     def test_augment_seed_controls_spectrogram(self):
         cfg = small_train_config(augment=AugmentConfig(5, 24, 2))
         clip = AudioClip(np.random.default_rng(2).uniform(-0.3, 0.3, 16000), 16000)
-        _, s1 = prepare_input(clip, cfg, train_mode=True, augment_seed=1)
-        _, s2 = prepare_input(clip, cfg, train_mode=True, augment_seed=1)
-        _, s3 = prepare_input(clip, cfg, train_mode=True, augment_seed=2)
+        _, spec = prepare_input(clip, cfg)
+        s1 = spec_augment(spec, cfg.augment, 1)
+        s2 = spec_augment(spec, cfg.augment, 1)
+        s3 = spec_augment(spec, cfg.augment, 2)
         np.testing.assert_array_equal(s1.values, s2.values)
         assert not np.array_equal(s1.values, s3.values)
 

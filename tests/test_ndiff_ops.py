@@ -23,6 +23,15 @@ def tensor(values, name="t"):
     return Tensor(np.asarray(values, dtype=np.float64), name=name)
 
 
+class TestTensor:
+    def test_add_grad_rejects_another_dtype(self):
+        p = Tensor(np.zeros(3, dtype=np.float32), name="p")
+        p.add_grad(np.ones(3, dtype=np.float32))
+        with pytest.raises(ShapeError, match="dtype float64"):
+            p.add_grad(np.ones(3, dtype=np.float64))
+        np.testing.assert_array_equal(p.grad, np.ones(3, dtype=np.float32))
+
+
 class TestConv1d:
     def test_output_length_16000_80_5(self):
         """floor((16000 - 80) / 5) + 1 = 3185."""

@@ -48,7 +48,7 @@ def synthetic_batch(cfg, rng, n=4):
 class TestAdam:
     def test_zero_learning_rate_keeps_parameters(self, rng):
         p = Tensor(rng.standard_normal(5).astype(np.float32), name="p")
-        opt = Adam([p], learning_rate=0.0)
+        opt = Adam([p], OptimizerConfig(learning_rate=0.0))
         before = p.data.copy()
         p.zero_grad()
         p.add_grad(np.ones(5, dtype=np.float32))
@@ -57,7 +57,7 @@ class TestAdam:
 
     def test_step_moves_against_gradient(self, rng):
         p = Tensor(np.zeros(3, dtype=np.float64), name="p")
-        opt = Adam([p], learning_rate=0.1, clip_norm=0.0)
+        opt = Adam([p], OptimizerConfig(learning_rate=0.1, clip_norm=0.0))
         p.zero_grad()
         p.add_grad(np.array([1.0, -1.0, 0.0]))
         opt.step()
@@ -66,7 +66,7 @@ class TestAdam:
 
     def test_clipping_bounds_update_norm(self):
         p = Tensor(np.zeros(4), name="p")
-        opt = Adam([p], learning_rate=1.0, clip_norm=1.0)
+        opt = Adam([p], OptimizerConfig(learning_rate=1.0, clip_norm=1.0))
         p.zero_grad()
         p.add_grad(np.full(4, 100.0))
         assert opt.global_grad_norm() == pytest.approx(200.0)
@@ -75,7 +75,7 @@ class TestAdam:
 
     def test_non_finite_gradient_rejected(self):
         p = Tensor(np.zeros(2), name="p")
-        opt = Adam([p], learning_rate=0.1)
+        opt = Adam([p], OptimizerConfig(learning_rate=0.1))
         p.zero_grad()
         p.add_grad(np.array([np.nan, 0.0]))
         with pytest.raises(NumericError):
@@ -204,6 +204,33 @@ class TestCheckpointArchive:
     def test_malformed_table_entry_code(self, tmp_path, header):
         with pytest.raises(CheckpointError) as err:
             self.load_with_header(tmp_path / "t.wlann", header)
+        assert err.value.code == "bad_magic"
+
+    @pytest.mark.parametrize("field, value", [
+        ("config", 5), ("config", [1]), ("metadata", [1]), ("kind", 5),
+    ], ids=["int_config", "list_config", "list_metadata", "int_kind"])
+    def test_malformed_header_field_code(self, tmp_path, field, value):
+        path = tmp_path / "t.wlann"
+        with pytest.raises(CheckpointError) as err:
+            self.load_with_header(
+                path, {"tensors": [{"name": "w", "shape": [4], "offset": 0}], field: value})
+        assert err.value.code == "bad_magic"
+        for load in (load_checkpoint, load_train_state):
+            with pytest.raises(CheckpointError) as err:
+                load(path)
+            assert err.value.code == "bad_magic"
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", "x"), ("epoch", 1.5), ("optimizer_steps", "3"), ("step", None),
+    ])
+    def test_non_integer_counter_code(self, tmp_path, key, value):
+        path = tmp_path / "t.wlann"
+        save_checkpoint(path, TrainState.create(small_train_config()))
+        archive = load_archive(path)
+        save_archive(path, archive.kind, archive.config, archive.tensors,
+                     {**archive.metadata, key: value})
+        with pytest.raises(CheckpointError) as err:
+            load_train_state(path)
         assert err.value.code == "bad_magic"
 
     def test_failed_write_keeps_previous_archive(self, tmp_path, rng, monkeypatch):
