@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     features.add_argument("--out", required=True, help="output .tns archive path")
     features.add_argument("--config", help="JSON config file")
     features.add_argument("--augment", action="store_true", help="apply training augmentation")
-    features.add_argument("--seed", type=int, default=0, help="augmentation seed")
+    # Its own dest, so `_load_config` never mistakes it for the config seed.
+    features.add_argument("--seed", dest="augment_seed", metavar="SEED", type=int, default=0,
+                          help="augmentation seed")
 
     train = sub.add_parser("train", help="train a model",
                            description="Train on a corpus directory and write a checkpoint.")
@@ -132,13 +134,14 @@ def _cmd_features(args) -> int:
     clip = load_wav(args.wav)
     waveform, spec = prepare_input(clip, cfg)
     if args.augment:
-        spec = spec_augment(spec, cfg.augment, args.seed)
+        spec = spec_augment(spec, cfg.augment, args.augment_seed)
     save_archive(
         args.out,
         kind="features",
         config=cfg.to_dict(),
         tensors={"waveform": waveform, "logmel": spec.values},
-        metadata={"source": str(args.wav), "augmented": bool(args.augment), "seed": args.seed},
+        metadata={"source": str(args.wav), "augmented": bool(args.augment),
+                  "seed": args.augment_seed},
     )
     print(f"wrote features for {args.wav} to {args.out} "
           f"(waveform {waveform.shape}, logmel {spec.values.shape})")

@@ -9,6 +9,7 @@ properties and validated once at construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -145,8 +146,10 @@ class WlannConfig:
             raise ConfigError(
                 f"model sample rate must be {meldsp.SAMPLE_RATE_HZ} Hz, got {self.sample_rate_hz}"
             )
-        if self.fixed_input_seconds <= 0:
-            raise ConfigError("fixed_input_seconds must be positive")
+        if not (math.isfinite(self.fixed_input_seconds) and self.fixed_input_seconds > 0):
+            raise ConfigError(
+                f"fixed_input_seconds must be positive and finite, got {self.fixed_input_seconds}"
+            )
         if self.ast.mel_bins != meldsp.MEL_BINS:
             raise ConfigError(f"mel_bins must be {meldsp.MEL_BINS}, got {self.ast.mel_bins}")
         if len(self.cnn.channel_widths) != len(self.cnn.strides):

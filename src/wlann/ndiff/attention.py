@@ -72,8 +72,10 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams):
     v, c_v = F.linear(x, params.wv, params.bv)
     qh, kh, vh = (_split_heads(t, params.heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(dim // params.heads)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= scale
     attn, c_soft = F.softmax(scores, axis=-1)
+    del scores
     context = attn @ vh  # (h, N, d_h)
     merged = _merge_heads(context)
     y, c_o = F.linear(merged, params.wo, params.bo)

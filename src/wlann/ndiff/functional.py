@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 from .tensor import Tensor
@@ -35,33 +34,66 @@ def conv1d_output_length(length: int, kernel: int, stride: int) -> int:
 # Convolution
 
 
+def _tap_blocks(kernel: int, stride: int):
+    """Split taps 0..K-1 into blocks j of `stride` taps: (j, first tap, width)."""
+    return [(j, j * stride, min(stride, kernel - j * stride)) for j in range(-(-kernel // stride))]
+
+
+def _im2col(phases: np.ndarray, kernel: int, stride: int, l_out: int) -> np.ndarray:
+    """(C_in, s, n) phase layout -> (C_in*K, L_out) columns, one block copy per tap block.
+
+    Tap k = j*s + r of output l reads sample (l + j)*s + r = phases[:, r, l + j].
+    """
+    c_in = phases.shape[0]
+    cols = np.empty((c_in, kernel, l_out), dtype=phases.dtype)
+    for j, k0, width in _tap_blocks(kernel, stride):
+        cols[:, k0 : k0 + width] = phases[:, :width, j : j + l_out]
+    return cols.reshape(c_in * kernel, l_out)
+
+
 def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
-    """Valid cross-correlation: x (C_in, L) * w (C_out, C_in, K) -> (C_out, L_out)."""
+    """Valid cross-correlation: x (C_in, L) * w (C_out, C_in, K) -> (C_out, L_out).
+
+    The cache keeps the input in phase layout (C_in, s, n), sample m*s + r
+    at [:, r, m], zero-padded to n = L_out + ceil(K/s) - 1 phases: the size
+    of the input plus under one stride. The backward rebuilds the im2col
+    columns from it instead of keeping them alive.
+    """
     c_in, length = x.shape
     c_out, c_in_w, kernel = w.shape
     if c_in != c_in_w:
         raise ShapeError(f"input has {c_in} channels but weight expects {c_in_w}")
     l_out = conv1d_output_length(length, kernel, stride)
-    windows = sliding_window_view(x, kernel, axis=1)[:, ::stride, :]  # (C_in, L_out, K)
-    cols = windows.transpose(0, 2, 1).reshape(c_in * kernel, l_out)
+    n = l_out + -(-kernel // stride) - 1
+    take = min(length, n * stride)
+    padded = np.zeros((c_in, n * stride), dtype=x.dtype)
+    padded[:, :take] = x[:, :take]
+    phases = padded.reshape(c_in, n, stride).transpose(0, 2, 1).copy()
+    del padded
+    cols = _im2col(phases, kernel, stride, l_out)
     y = w.data.reshape(c_out, c_in * kernel) @ cols + b.data[:, None]
-    cache = (x.shape, cols, w, b, stride)
+    cache = (length, phases, w, b, stride)
     return y, cache
 
 
 def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True):
-    x_shape, cols, w, b, stride = cache
+    length, phases, w, b, stride = cache
     c_out, c_in, kernel = w.shape
     l_out = dy.shape[1]
-    w.add_grad((dy @ cols.T).reshape(w.shape))
+    w.add_grad((dy @ _im2col(phases, kernel, stride, l_out).T).reshape(w.shape))
     b.add_grad(dy.sum(axis=1))
     if not need_dx:
         return None
-    dcols = w.data.reshape(c_out, c_in * kernel).T @ dy  # (C_in*K, L_out)
-    dwindows = dcols.reshape(c_in, kernel, l_out)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for k in range(kernel):
-        dx[:, k : k + stride * l_out : stride] += dwindows[:, k, :]
+    dcols = (w.data.reshape(c_out, c_in * kernel).T @ dy).reshape(c_in, kernel, l_out)
+    # Scatter back block by block: each sample m*s + r gets its taps j*s + r
+    # in ascending j, i.e. ascending k, the order a per-tap loop would use.
+    dphases = np.zeros(phases.shape, dtype=dy.dtype)
+    for j, k0, width in _tap_blocks(kernel, stride):
+        dphases[:, :width, j : j + l_out] += dcols[:, k0 : k0 + width]
+    del dcols
+    dx = np.zeros((c_in, length), dtype=dy.dtype)
+    take = min(length, dphases.shape[2] * stride)
+    dx[:, :take] = dphases.transpose(0, 2, 1).reshape(c_in, -1)[:, :take]
     return dx
 
 
@@ -121,9 +153,10 @@ def sigmoid_vjp(dy: np.ndarray, cache):
 
 
 def softmax(x: np.ndarray, axis: int = -1):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    y = exp / exp.sum(axis=axis, keepdims=True)
+    """Shift, exponentiate and normalize in one buffer; `x` is left unmodified."""
+    y = x - x.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     return y, (y, axis)
 
 

@@ -107,6 +107,25 @@ class TestPipeline:
         for name, values in plain.tensors.items():
             np.testing.assert_array_equal(augmented.tensors[name], values)
 
+    @pytest.mark.parametrize("augment", [(), ("--augment",)], ids=["plain", "augment"])
+    def test_features_seed_is_not_the_config_seed(self, workspace, augment):
+        _, archive = self.features(workspace, "seeded.tns", workspace / "config.json",
+                                   *augment, "--seed", "4")
+        assert WlannConfig.from_dict(archive.config).seed == 9
+        assert archive.metadata["seed"] == 4
+
+    @pytest.mark.parametrize("seconds", ["NaN", "Infinity", "-Infinity"])
+    def test_features_non_finite_input_length_is_validation_error(self, workspace, tmp_path,
+                                                                   capsys, seconds):
+        wav = sorted((workspace / "corpus").glob("*.wav"))[0]
+        config = tmp_path / "nan.json"
+        config.write_text(f'{{"fixed_input_seconds": {seconds}}}')
+        out = tmp_path / "never.tns"
+        assert run_cli("features", "--wav", str(wav), "--out", str(out),
+                       "--config", str(config)) == 1
+        assert "error: fixed_input_seconds must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_eval_predict_cycle(self, workspace, capsys):
         corpus = str(workspace / "corpus")
         model = str(workspace / "model.wlann")

@@ -99,6 +99,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             WlannConfig(fixed_input_seconds=0.05)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_input_length_rejected(self, seconds):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            WlannConfig(fixed_input_seconds=seconds)
+
     def test_json_round_trip(self):
         cfg = small_train_config()
         clone = WlannConfig.from_dict(cfg.to_dict())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,34 @@ class TestTensor:
         with pytest.raises(ShapeError, match="dtype float64"):
             p.add_grad(np.ones(3, dtype=np.float64))
         np.testing.assert_array_equal(p.grad, np.ones(3, dtype=np.float32))
+
+
+# (C_in, C_out, L, K, stride): K % s != 0, s = 1, s > K, K = L, and inputs
+# whose trailing samples no window reads.
+CONV_GEOMETRIES = [
+    (2, 3, 11, 4, 2),
+    (3, 2, 23, 7, 3),
+    (2, 2, 9, 3, 1),
+    (2, 3, 20, 3, 5),
+    (1, 2, 12, 12, 4),
+    (2, 2, 90, 20, 4),
+]
+
+
+def im2col_conv1d_reference(x, w, b, stride, dy):
+    """conv1d and its VJP with the whole im2col matrix and a per-tap scatter."""
+    c_out, c_in, kernel = w.shape
+    windows = sliding_window_view(x, kernel, axis=1)[:, ::stride, :]
+    l_out = windows.shape[1]
+    cols = windows.transpose(0, 2, 1).reshape(c_in * kernel, l_out)
+    y = w.data.reshape(c_out, c_in * kernel) @ cols + b.data[:, None]
+    w.add_grad((dy @ cols.T).reshape(w.shape))
+    b.add_grad(dy.sum(axis=1))
+    dwindows = (w.data.reshape(c_out, c_in * kernel).T @ dy).reshape(c_in, kernel, l_out)
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    for k in range(kernel):
+        dx[:, k : k + stride * l_out : stride] += dwindows[:, k, :]
+    return y, dx
 
 
 class TestConv1d:
@@ -76,6 +105,68 @@ class TestConv1d:
                 expected[o, l] = acc
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("c_in,c_out,length,kernel,stride", CONV_GEOMETRIES)
+    def test_vjp_matches_loop_oracle(self, rng, c_in, c_out, length, kernel, stride):
+        x = rng.standard_normal((c_in, length))
+        w, b = tensor(rng.standard_normal((c_out, c_in, kernel))), tensor(rng.standard_normal(c_out))
+        y, cache = F.conv1d(x, w, b, stride)
+        dy = rng.standard_normal(y.shape)
+        dx = F.conv1d_vjp(dy, cache)
+
+        l_out = (length - kernel) // stride + 1
+        expected_y = np.zeros((c_out, l_out))
+        expected_dx = np.zeros_like(x)
+        expected_dw = np.zeros_like(w.data)
+        for o in range(c_out):
+            for l in range(l_out):
+                expected_y[o, l] = b.data[o]
+                for i in range(c_in):
+                    for k in range(kernel):
+                        expected_y[o, l] += w.data[o, i, k] * x[i, l * stride + k]
+                        expected_dx[i, l * stride + k] += w.data[o, i, k] * dy[o, l]
+                        expected_dw[o, i, k] += dy[o, l] * x[i, l * stride + k]
+        np.testing.assert_allclose(y, expected_y, atol=1e-12)
+        np.testing.assert_allclose(dx, expected_dx, atol=1e-12)
+        np.testing.assert_allclose(w.grad, expected_dw, atol=1e-12)
+        np.testing.assert_allclose(b.grad, dy.sum(axis=1), atol=1e-12)
+        unread = (l_out - 1) * stride + kernel
+        assert np.all(dx[:, unread:] == 0.0)
+
+    @pytest.mark.parametrize("c_in,c_out,length,kernel,stride", CONV_GEOMETRIES)
+    def test_cache_holds_no_more_than_input_plus_one_stride(self, c_in, c_out, length, kernel,
+                                                           stride):
+        """The im2col columns (C_in*K*L_out values) must not outlive the forward."""
+        _, cache = F.conv1d(np.zeros((c_in, length)), tensor(np.zeros((c_out, c_in, kernel))),
+                            tensor(np.zeros(c_out)), stride)
+        activations = [a for a in cache if isinstance(a, np.ndarray)]
+        assert activations
+        for array in activations:
+            assert array.size <= c_in * (length + stride - 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out,length,kernel,stride",
+                             CONV_GEOMETRIES + [(1, 8, 16000, 80, 5), (16, 8, 2000, 80, 4)])
+    def test_bitwise_equal_to_full_im2col(self, rng, dtype, c_in, c_out, length, kernel, stride):
+        """Same columns, same GEMMs, same per-sample sum order as the im2col reference.
+
+        With one input channel the reference's columns are a strided view,
+        which numpy's matmul hands to BLAS only for large enough outputs;
+        (1, 8, 16000, ...) is the small model's first layer, above that size.
+        """
+        x = rng.standard_normal((length, c_in)).astype(dtype).T  # a transposed view, as in the model
+        w_data = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
+        b_data = rng.standard_normal(c_out).astype(dtype)
+        w, b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
+        y, cache = F.conv1d(x, w, b, stride)
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        dx = F.conv1d_vjp(dy, cache)
+
+        ref_w, ref_b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
+        ref_y, ref_dx = im2col_conv1d_reference(x, ref_w, ref_b, stride, dy)
+        for got, want in ((y, ref_y), (dx, ref_dx), (w.grad, ref_w.grad), (b.grad, ref_b.grad)):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
             F.conv1d(np.zeros((1, 3)), tensor(np.zeros((1, 1, 4))), tensor(np.zeros(1)), 1)
@@ -121,6 +212,23 @@ class TestActivations:
         y, _ = F.softmax(rng.standard_normal((7, 9)) * 20, axis=-1)
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(y >= 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_softmax_bitwise_equal_to_three_buffer_form(self, rng, dtype, axis):
+        x = (rng.standard_normal((3, 40, 40)) * 8).astype(dtype)
+        y, _ = F.softmax(x, axis=axis)
+        exp = np.exp(x - x.max(axis=axis, keepdims=True))
+        expected = exp / exp.sum(axis=axis, keepdims=True)
+        assert y.dtype == dtype
+        assert np.array_equal(y, expected)
+
+    def test_softmax_leaves_input_unmodified(self, rng):
+        x = rng.standard_normal((4, 6))
+        before = x.copy()
+        y, _ = F.softmax(x, axis=-1)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(x, y)
 
     def test_gelu_fixed_points(self):
         y, _ = F.gelu(np.array([0.0, 100.0, -100.0]))
