@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +150,9 @@ class WlannConfig:
             raise ConfigError(
                 f"fixed_input_seconds must be positive and finite, got {self.fixed_input_seconds}"
             )
+        for name, value in _float_fields(self):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.ast.mel_bins != meldsp.MEL_BINS:
             raise ConfigError(f"mel_bins must be {meldsp.MEL_BINS}, got {self.ast.mel_bins}")
         if len(self.cnn.channel_widths) != len(self.cnn.strides):
@@ -162,6 +165,8 @@ class WlannConfig:
             raise ConfigError(f"num_classes must be in [2, {NUM_CLASSES}], got {self.num_classes}")
         if self.focal_gamma < 0:
             raise ConfigError("focal gamma must be >= 0")
+        if self.init_std <= 0:
+            raise ConfigError(f"init_std must be > 0, got {self.init_std}")
         if self.ast.embed_dim % self.ast.heads != 0:
             raise ConfigError(
                 f"embed dim {self.ast.embed_dim} not divisible by {self.ast.heads} heads"
@@ -204,15 +209,21 @@ class WlannConfig:
             )
         if self.bandpass.order < 1:
             raise ConfigError(f"band-pass order must be >= 1, got {self.bandpass.order}")
-        if self.optimizer.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.optimizer.batch_size}")
+        opt = self.optimizer
+        if opt.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {opt.batch_size}")
+        if not (0 <= opt.beta1 < 1 and 0 <= opt.beta2 < 1):
+            raise ConfigError(f"Adam betas must lie in [0, 1), got ({opt.beta1}, {opt.beta2})")
+        if opt.eps <= 0:
+            raise ConfigError(f"Adam eps must be > 0, got {opt.eps}")
+        for name in ("learning_rate", "clip_norm", "weight_decay"):
+            if getattr(opt, name) < 0:
+                raise ConfigError(f"optimizer {name} must be >= 0, got {getattr(opt, name)}")
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        data["cnn"]["block_strides"] = list(self.cnn.block_strides)
-        data["cnn"]["channel_widths"] = list(self.cnn.channel_widths)
         # Recorded for reproducibility; fixed by the feature extractor.
         data["features"] = {
             "window_ms": meldsp.WINDOW_MS,
@@ -224,40 +235,10 @@ class WlannConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WlannConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be an object, got {type(data).__name__}")
-        payload = dict(data)
-        payload.pop("features", None)
-        sections = {
-            "cnn": CnnBranchConfig,
-            "ast": AstBranchConfig,
-            "augment": AugmentConfig,
-            "bandpass": BandpassConfig,
-            "optimizer": OptimizerConfig,
-        }
-        kwargs = {}
+        if isinstance(data, dict):
+            data = {key: value for key, value in data.items() if key != "features"}
         try:
-            for key, value in payload.items():
-                if key in sections:
-                    if not isinstance(value, dict):
-                        raise ConfigError(f"config section {key!r} must be an object")
-                    section_cls = sections[key]
-                    valid = set(section_cls.__dataclass_fields__)
-                    unknown = set(value) - valid
-                    if unknown:
-                        raise ConfigError(
-                            f"unknown keys in config section {key!r}: {sorted(unknown)}"
-                        )
-                    coerced = dict(value)
-                    for tuple_key in ("block_strides", "channel_widths"):
-                        if tuple_key in coerced:
-                            coerced[tuple_key] = tuple(coerced[tuple_key])
-                    kwargs[key] = section_cls(**coerced)
-                elif key in cls.__dataclass_fields__:
-                    kwargs[key] = value
-                else:
-                    raise ConfigError(f"unknown config key {key!r}")
-            return cls(**kwargs)
+            return _from_dict(cls, data, "config")
         except TypeError as exc:
             raise ConfigError(f"config value of the wrong type: {exc}") from exc
 
@@ -268,3 +249,35 @@ class WlannConfig:
     def from_json_file(cls, path: str | Path) -> "WlannConfig":
         with Path(path).open("r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
+
+
+def _from_dict(cls, data, where: str):
+    """Build dataclass `cls` from a JSON object, following its field declarations.
+
+    A field whose default factory is a dataclass is a section and is
+    built recursively; a field with a tuple default takes `tuple(value)`.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {type(data).__name__}")
+    declared_fields = {f.name: f for f in fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in declared_fields:
+            raise ConfigError(f"unknown config key {key!r} in {where}")
+        declared = declared_fields[key]
+        if is_dataclass(declared.default_factory):
+            value = _from_dict(declared.default_factory, value, f"{where}.{key}")
+        elif isinstance(declared.default, tuple):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+def _float_fields(obj, prefix: str = ""):
+    """(dotted name, value) of every float in a config tree, sections walked."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float):
+            yield f"{prefix}{f.name}", value

@@ -15,7 +15,6 @@ config's derived geometry:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,12 +24,12 @@ from ..errors import ShapeError
 from ..ndiff import functional as F
 from ..ndiff.attention import TransformerBlockParams, transformer_block, transformer_block_vjp
 from ..ndiff.gru import GruCellParams, bigru, bigru_vjp
-from ..ndiff.tensor import Tensor, truncated_normal
+from ..ndiff.tensor import ParamGroup, Tensor, truncated_normal
 from .config import WlannConfig
 
 
 @dataclass
-class ConvLayerParams:
+class ConvLayerParams(ParamGroup):
     """One convolution layer with its channel layer-norm."""
 
     w: Tensor
@@ -47,12 +46,9 @@ class ConvLayerParams:
             ln_shift=Tensor(np.zeros(c_out), name=f"{prefix}.ln.shift"),
         )
 
-    def tensors(self) -> Iterator[Tensor]:
-        yield from (self.w, self.b, self.ln_gain, self.ln_shift)
-
 
 @dataclass
-class WlannParams:
+class WlannParams(ParamGroup):
     """Every trainable tensor of the model, with stable unique names."""
 
     conv_layers: list[ConvLayerParams]
@@ -98,39 +94,9 @@ class WlannParams:
             out_w=Tensor(truncated_normal(rng, (cfg.num_classes, 2 * cfg.gru_hidden), std), name="head.w"),
             out_b=Tensor(np.zeros(cfg.num_classes), name="head.b"),
         )
-        params.cast(cfg.numpy_dtype)
+        for tensor in params.tensors():
+            tensor.data = tensor.data.astype(cfg.numpy_dtype)
         return params
-
-    def tensors(self) -> Iterator[Tensor]:
-        for layer in self.conv_layers:
-            yield from layer.tensors()
-        yield from (self.patch_w, self.patch_b, self.pos_embed)
-        for block in self.blocks:
-            yield from block.tensors()
-        yield from (self.final_ln_gain, self.final_ln_shift)
-        yield from self.gru_fwd.tensors()
-        yield from self.gru_bwd.tensors()
-        yield from (self.out_w, self.out_b)
-
-    def named(self) -> dict[str, Tensor]:
-        table = {}
-        for tensor in self.tensors():
-            if tensor.name in table:
-                raise ShapeError(f"duplicate parameter name {tensor.name!r}")
-            table[tensor.name] = tensor
-        return table
-
-    def zero_grads(self) -> None:
-        for tensor in self.tensors():
-            tensor.zero_grad()
-
-    def cast(self, dtype) -> None:
-        for tensor in self.tensors():
-            tensor.data = tensor.data.astype(dtype)
-
-    @property
-    def count(self) -> int:
-        return sum(t.size for t in self.tensors())
 
 
 # ---------------------------------------------------------------------------

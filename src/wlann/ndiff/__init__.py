@@ -18,13 +18,14 @@ from .gru import (
     gru_sequence,
     gru_sequence_vjp,
 )
-from .tensor import Tensor, scaled_normal, truncated_normal
+from .tensor import ParamGroup, Tensor, scaled_normal, truncated_normal
 
 __all__ = [
     "AttentionParams",
     "DENOM_FLOOR",
     "GradCheckReport",
     "GruCellParams",
+    "ParamGroup",
     "Tensor",
     "TensorCheck",
     "TransformerBlockParams",

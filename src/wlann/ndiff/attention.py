@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
 from . import functional as F
-from .tensor import Tensor, truncated_normal
+from .tensor import ParamGroup, Tensor, truncated_normal
 
 FF_EXPANSION = 4
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(ParamGroup):
     """Query/key/value/output projections for one attention layer."""
 
     wq: Tensor
@@ -47,9 +46,6 @@ class AttentionParams:
             wo=weight("out"), bo=bias("out"),
             heads=heads,
         )
-
-    def tensors(self) -> Iterator[Tensor]:
-        yield from (self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -99,7 +95,7 @@ def multi_head_self_attention_vjp(dy: np.ndarray, cache):
 
 
 @dataclass
-class TransformerBlockParams:
+class TransformerBlockParams(ParamGroup):
     """Pre-norm block: LN -> attention -> residual, LN -> MLP -> residual."""
 
     ln1_gain: Tensor
@@ -126,14 +122,6 @@ class TransformerBlockParams:
             ff2_w=Tensor(truncated_normal(rng, (dim, hidden)), name=f"{prefix}.ff2.w"),
             ff2_b=Tensor(np.zeros(dim), name=f"{prefix}.ff2.b"),
         )
-
-    def tensors(self) -> Iterator[Tensor]:
-        yield self.ln1_gain
-        yield self.ln1_shift
-        yield from self.attn.tensors()
-        yield self.ln2_gain
-        yield self.ln2_shift
-        yield from (self.ff1_w, self.ff1_b, self.ff2_w, self.ff2_b)
 
 
 def transformer_block(x: np.ndarray, params: TransformerBlockParams):

@@ -14,16 +14,15 @@ values stay in [-1, 1] whenever the initial state does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from ..errors import ShapeError, ValidationError
-from .tensor import Tensor, scaled_normal
+from .tensor import ParamGroup, Tensor, scaled_normal
 
 
 @dataclass
-class GruCellParams:
+class GruCellParams(ParamGroup):
     """Six weight matrices and three bias vectors of one GRU cell."""
 
     wz: Tensor
@@ -60,9 +59,6 @@ class GruCellParams:
     @property
     def input_size(self) -> int:
         return self.wz.shape[1]
-
-    def tensors(self) -> Iterator[Tensor]:
-        yield from (self.wz, self.uz, self.bz, self.wr, self.ur, self.br, self.wh, self.uh, self.bh)
 
 
 def gru_sequence(xs: np.ndarray, params: GruCellParams, reverse: bool = False):

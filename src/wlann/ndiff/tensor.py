@@ -5,10 +5,14 @@ exists for the values that training mutates (weights, biases,
 embeddings). Each operation's backward pass accumulates parameter
 gradients into `Tensor.grad` and returns input gradients directly, so
 there is no graph or tape: the composition order is written out by hand
-wherever operations are chained.
+wherever operations are chained. A dataclass of parameters inherits
+`ParamGroup`, which walks its fields in declaration order.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
+from typing import Iterator
 
 import numpy as np
 
@@ -57,6 +61,41 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(name={self.name!r}, shape={self.data.shape}, dtype={self.data.dtype})"
+
+
+class ParamGroup:
+    """Mixin for a dataclass of parameters, walked in field-declaration order.
+
+    A `Tensor` field is yielded, a nested group is walked, a list is walked
+    item by item, and any other field (a head count) is skipped. That order
+    is Adam's update order and the checkpoint's tensor order.
+    """
+
+    def tensors(self) -> Iterator[Tensor]:
+        for f in fields(self):
+            yield from _walk(getattr(self, f.name))
+
+    def named(self) -> dict[str, Tensor]:
+        table = {}
+        for tensor in self.tensors():
+            if tensor.name in table:
+                raise ShapeError(f"duplicate parameter name {tensor.name!r}")
+            table[tensor.name] = tensor
+        return table
+
+    def zero_grads(self) -> None:
+        for tensor in self.tensors():
+            tensor.zero_grad()
+
+
+def _walk(value) -> Iterator[Tensor]:
+    if isinstance(value, Tensor):
+        yield value
+    elif isinstance(value, ParamGroup):
+        yield from value.tensors()
+    elif isinstance(value, list):
+        for item in value:
+            yield from _walk(item)
 
 
 def truncated_normal(

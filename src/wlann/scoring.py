@@ -18,6 +18,7 @@ denominator are flagged as undefined, never coerced to a number.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,19 +112,16 @@ def score(
     if not pairs:
         raise ValidationError("cannot score an empty list of events")
     matrix = ConfusionMatrix()
-    cas = tas = cns = tns = detected = 0
     for true_label, predicted in pairs:
         matrix.add(true_label, predicted)
-        if true_label.is_abnormal:
-            tas += 1
-            if predicted == true_label:
-                cas += 1
-            if predicted.is_abnormal:
-                detected += 1
-        else:
-            tns += 1
-            if predicted == Label.NORMAL:
-                cns += 1
+    counts = matrix.counts
+    normal = Label.NORMAL.index
+    abnormal = [label.index for label in LABELS if label.is_abnormal]
+    tas = int(counts[abnormal].sum())
+    cas = int(np.trace(counts)) - int(counts[normal, normal])
+    detected = int(counts[np.ix_(abnormal, abnormal)].sum())
+    tns = int(counts[normal].sum())
+    cns = int(counts[normal, normal])
 
     undefined = []
     sn = sp = sn_detection = None
@@ -157,7 +155,7 @@ def evaluate(
 ) -> tuple[ScoreReport, ConfusionMatrix]:
     """Run deterministic inference over a split and score the predictions.
 
-    Per-event inference is pure, so `jobs > 1` fans it out over threads;
+    Per-event inference is pure, so it runs on a pool of `jobs` threads;
     the result is identical regardless of worker count.
     """
     from .model.network import predict_scores
@@ -173,13 +171,8 @@ def evaluate(
         scores = predict_scores(waveform, spec, params, cfg)
         return LABELS[int(np.argmax(scores))]
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            predictions = list(pool.map(predict_one, split.events))
-    else:
-        predictions = [predict_one(event) for event in split.events]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        predictions = list(pool.map(predict_one, split.events))
     pairs = [(event.label, predicted) for event, predicted in zip(split.events, predictions)]
     return score(pairs, split_name=split.name)
 

@@ -13,15 +13,20 @@ class Adam:
     """Standard bias-corrected Adam; moments live alongside each parameter.
 
     Every hyperparameter (learning rate, betas, eps, clip norm, weight
-    decay) is read from the `OptimizerConfig` it is given.
+    decay) is read from the `OptimizerConfig` it is given. The moments of
+    parameter `<name>` are the tensors `adam.m.<name>` and `adam.v.<name>`.
     """
 
     def __init__(self, params: list[Tensor], cfg: OptimizerConfig):
         self.params = list(params)
         self.cfg = cfg
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [Tensor(np.zeros_like(p.data), name=f"adam.m.{p.name}") for p in self.params]
+        self.v = [Tensor(np.zeros_like(p.data), name=f"adam.v.{p.name}") for p in self.params]
+
+    def moments(self) -> dict[str, Tensor]:
+        """Name -> moment tensor, m then v for each parameter in order."""
+        return {t.name: t for pair in zip(self.m, self.v) for t in pair}
 
     def global_grad_norm(self) -> float:
         total = 0.0
@@ -41,7 +46,8 @@ class Adam:
         self.step_count += 1
         correction1 = 1.0 - cfg.beta1**self.step_count
         correction2 = 1.0 - cfg.beta2**self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m_tensor, v_tensor in zip(self.params, self.m, self.v):
+            m, v = m_tensor.data, v_tensor.data
             grad = (p.grad if p.grad is not None else np.zeros_like(p.data)) * scale
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * grad

@@ -157,10 +157,11 @@ def _table_entry(entry, path: Path) -> tuple[str, tuple[int, ...], int]:
 
 
 def restore_parameters(archive: Archive, named_params: dict[str, "np.ndarray | object"]) -> None:
-    """Copy archive tensors into parameter objects by name.
+    """Copy archive tensors into tensor objects (parameters, Adam moments) by name.
 
-    Missing parameters raise; unknown extra names in the archive only
-    warn, so newer files load into older code.
+    A missing name or a wrong shape raises; unknown extra names in the
+    archive only warn, so newer files load into older code. Extra `adam.*`
+    moments draw no warning, since an inference load does not ask for them.
     """
     for name, tensor in named_params.items():
         if name not in archive.tensors:

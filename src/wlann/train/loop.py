@@ -23,6 +23,7 @@ from ..errors import CHECKPOINT_BAD_MAGIC, CheckpointError, NumericError, Valida
 from ..model.config import WlannConfig
 from ..model.network import WlannParams, backward, forward
 from ..model.pipeline import prepare_input
+from ..ndiff.tensor import Tensor
 from .adam import Adam
 from .checkpoint import Archive, load_archive, restore_parameters, save_archive
 from .focal import focal_loss, focal_loss_vjp, one_hot
@@ -161,13 +162,13 @@ def fit(
 # Checkpoint round trips
 
 
+def _state_tensors(state: TrainState) -> dict[str, Tensor]:
+    """Every tensor a checkpoint holds: the parameters, then Adam's moments."""
+    return {**state.params.named(), **state.optimizer.moments()}
+
+
 def save_checkpoint(path: str | Path, state: TrainState) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for tensor in state.params.tensors():
-        tensors[tensor.name] = tensor.data
-    for tensor, m, v in zip(state.optimizer.params, state.optimizer.m, state.optimizer.v):
-        tensors[f"adam.m.{tensor.name}"] = m
-        tensors[f"adam.v.{tensor.name}"] = v
+    tensors = {name: tensor.data for name, tensor in _state_tensors(state).items()}
     metadata = {
         "step": state.step,
         "epoch": state.epoch,
@@ -200,15 +201,7 @@ def load_train_state(path: str | Path) -> TrainState:
             )
     cfg = WlannConfig.from_dict(archive.config)
     state = TrainState.create(cfg)
-    restore_parameters(archive, state.params.named())
-    for tensor, m, v in zip(state.optimizer.params, state.optimizer.m, state.optimizer.v):
-        for label, buffer in (("m", m), ("v", v)):
-            key = f"adam.{label}.{tensor.name}"
-            if key in archive.tensors:
-                stored = archive.tensors[key]
-                if stored.shape != buffer.shape:
-                    raise ValidationError(f"optimizer moment {key} has shape {stored.shape}")
-                buffer[...] = stored.astype(buffer.dtype)
+    restore_parameters(archive, _state_tensors(state))
     state.step = counters["step"]
     state.epoch = counters["epoch"]
     state.optimizer.step_count = counters["optimizer_steps"]

@@ -126,6 +126,19 @@ class TestPipeline:
         assert "error: fixed_input_seconds must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_non_finite_learning_rate_is_validation_error(self, workspace, tmp_path,
+                                                                capsys):
+        data = small_train_config(seed=9).to_dict()
+        data["optimizer"]["learning_rate"] = float("nan")
+        config = tmp_path / "nan_lr.json"
+        config.write_text(json.dumps(data))
+        assert '"learning_rate": NaN' in config.read_text()
+        out = tmp_path / "never.wlann"
+        assert run_cli("train", "--data", str(workspace / "corpus"), "--config", str(config),
+                       "--epochs", "1", "--out", str(out)) == 1
+        assert "error: optimizer.learning_rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_eval_predict_cycle(self, workspace, capsys):
         corpus = str(workspace / "corpus")
         model = str(workspace / "model.wlann")

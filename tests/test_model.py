@@ -1,5 +1,8 @@
 """Network geometry, preprocessing pipeline, and structural identities."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -104,10 +107,65 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="positive and finite"):
             WlannConfig(fixed_input_seconds=seconds)
 
+    @pytest.mark.parametrize("field", [
+        "focal_gamma", "init_std", "optimizer.learning_rate", "optimizer.beta1",
+        "optimizer.beta2", "optimizer.eps", "optimizer.clip_norm", "optimizer.weight_decay",
+        "bandpass.low_hz",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            WlannConfig.from_dict(_set_field(WlannConfig().to_dict(), field, value))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("optimizer.learning_rate", -1e-3, "learning_rate must be >= 0"),
+        ("optimizer.clip_norm", -1.0, "clip_norm must be >= 0"),
+        ("optimizer.weight_decay", -1.0, "weight_decay must be >= 0"),
+        ("optimizer.beta1", 1.5, "betas must lie in"),
+        ("optimizer.beta1", 1.0, "betas must lie in"),
+        ("optimizer.beta2", -0.1, "betas must lie in"),
+        ("optimizer.eps", 0.0, "eps must be > 0"),
+        ("init_std", -1.0, "init_std must be > 0"),
+        ("init_std", 0.0, "init_std must be > 0"),
+    ])
+    def test_out_of_range_training_setting_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            WlannConfig.from_dict(_set_field(WlannConfig().to_dict(), field, value))
+
+    def test_training_setting_boundaries_accepted(self):
+        WlannConfig(optimizer=OptimizerConfig(
+            learning_rate=0.0, beta1=0.0, beta2=0.0, clip_norm=0.0, weight_decay=0.0
+        ))
+
     def test_json_round_trip(self):
         cfg = small_train_config()
         clone = WlannConfig.from_dict(cfg.to_dict())
         assert clone == cfg
+
+    def test_every_field_survives_json_round_trip(self):
+        cfg = WlannConfig(
+            fixed_input_seconds=2.0,
+            cnn=CnnBranchConfig(kernel=40, initial_stride=4, block_strides=(3, 3),
+                                channel_widths=(8, 16, 62)),
+            ast=AstBranchConfig(patch_size=8, patch_stride=4, embed_dim=16, depth=1, heads=2),
+            gru_hidden=8,
+            num_classes=5,
+            focal_gamma=1.5,
+            augment=AugmentConfig(time_warp_frames=3, freq_mask_width=10, freq_mask_count=1),
+            bandpass=BandpassConfig(order=6, low_hz=50.0, high_hz=900.0),
+            optimizer=OptimizerConfig(learning_rate=3e-4, beta1=0.8, beta2=0.99, eps=1e-6,
+                                      clip_norm=2.0, weight_decay=0.01, batch_size=4),
+            init_std=0.05,
+            dtype="float64",
+            seed=3,
+        )
+        # The feature extractor fixes these two; every other field is off its default.
+        unchanged = {name for (name, a), (_, b) in zip(_leaves(cfg), _leaves(WlannConfig()))
+                     if a == b}
+        assert unchanged == {"sample_rate_hz", "ast.mel_bins"}
+        clone = WlannConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert clone == cfg
+        assert type(clone.cnn.block_strides) is type(clone.cnn.channel_widths) is tuple
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -123,6 +181,24 @@ class TestConfigValidation:
     def test_wrongly_typed_payload_rejected(self, payload):
         with pytest.raises(ConfigError):
             WlannConfig.from_dict(payload)
+
+
+def _set_field(data: dict, dotted: str, value) -> dict:
+    *sections, key = dotted.split(".")
+    target = data
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    return data
+
+
+def _leaves(obj, prefix=""):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
 
 
 class TestPrepareInput:

@@ -1,5 +1,7 @@
 """Forward semantics of the numeric primitives against loop oracles."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -10,6 +12,7 @@ from wlann.errors import ShapeError, ValidationError
 from wlann.ndiff import (
     AttentionParams,
     GruCellParams,
+    ParamGroup,
     Tensor,
     TransformerBlockParams,
     bigru,
@@ -31,6 +34,37 @@ class TestTensor:
         with pytest.raises(ShapeError, match="dtype float64"):
             p.add_grad(np.ones(3, dtype=np.float64))
         np.testing.assert_array_equal(p.grad, np.ones(3, dtype=np.float32))
+
+
+@dataclass
+class _Leaf(ParamGroup):
+    a: Tensor
+    width: int
+
+
+@dataclass
+class _Tree(ParamGroup):
+    first: Tensor
+    leaves: list
+    nested: _Leaf
+    last: Tensor
+
+
+class TestParamGroup:
+    def tree(self, last="last"):
+        return _Tree(tensor([1.0], "first"), [_Leaf(tensor([2.0], "l0"), 3), tensor([3.0], "l1")],
+                     _Leaf(tensor([4.0], "nested"), 5), tensor([5.0], last))
+
+    def test_walks_fields_in_declaration_order(self):
+        tree = self.tree()
+        assert [t.name for t in tree.tensors()] == ["first", "l0", "l1", "nested", "last"]
+        assert list(tree.named()) == ["first", "l0", "l1", "nested", "last"]
+        tree.zero_grads()
+        assert all(t.grad is not None and not t.grad.any() for t in tree.tensors())
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ShapeError, match="duplicate parameter name 'first'"):
+            self.tree(last="first").named()
 
 
 # (C_in, C_out, L, K, stride): K % s != 0, s = 1, s > K, K = L, and inputs

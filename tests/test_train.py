@@ -12,7 +12,7 @@ import pytest
 from wlann.dataio import AudioClip
 from wlann.errors import CheckpointError, NumericError, StorageError
 from wlann.model import WlannParams, backward, forward, prepare_input
-from wlann.model.config import OptimizerConfig
+from wlann.model.config import OptimizerConfig, WlannConfig
 from wlann.ndiff import Tensor
 from wlann.train import (
     Adam,
@@ -313,6 +313,59 @@ class TestStateRoundTrip:
         assert resumed.step == 3
         resumed_loss, _ = train_step(batch, resumed)
         assert resumed_loss == continued_loss
+
+    def trained_checkpoint(self, tmp_path):
+        cfg = small_train_config(seed=5)
+        state = TrainState.create(cfg)
+        train_step(synthetic_batch(cfg, np.random.default_rng(4)), state)
+        path = tmp_path / "state.wlann"
+        save_checkpoint(path, state)
+        return path
+
+    @staticmethod
+    def rewrite(path, edit):
+        archive = load_archive(path)
+        edit(archive.tensors)
+        save_archive(path, archive.kind, archive.config, archive.tensors, archive.metadata)
+
+    def test_resume_without_a_moment_is_missing_tensor(self, tmp_path):
+        path = self.trained_checkpoint(tmp_path)
+        self.rewrite(path, lambda tensors: tensors.pop("adam.v.head.w"))
+        with pytest.raises(CheckpointError, match="adam.v.head.w") as err:
+            load_train_state(path)
+        assert err.value.code == "missing_tensor"
+
+    def test_resume_with_misshaped_moment_is_shape_mismatch(self, tmp_path):
+        path = self.trained_checkpoint(tmp_path)
+        wrong = {"adam.m.cnn.0.w": np.zeros(3, np.float32)}
+        self.rewrite(path, lambda tensors: tensors.update(wrong))
+        with pytest.raises(CheckpointError, match="adam.m.cnn.0.w") as err:
+            load_train_state(path)
+        assert err.value.code == "shape_mismatch"
+
+    def test_archive_tensor_table_at_default_config(self, tmp_path):
+        """The 73 parameters in Adam's order, then each parameter's m and v."""
+        names = [f"cnn.{i}.{n}" for i in range(4) for n in ("w", "b", "ln.gain", "ln.shift")]
+        names += ["ast.embed.w", "ast.embed.b", "ast.pos"]
+        for i in range(2):
+            block = f"ast.block.{i}"
+            names += [f"{block}.ln1.gain", f"{block}.ln1.shift"]
+            names += [f"{block}.attn.{p}.{k}" for p in ("q", "k", "v", "out") for k in ("w", "b")]
+            names += [f"{block}.ln2.gain", f"{block}.ln2.shift"]
+            names += [f"{block}.{ff}.{k}" for ff in ("ff1", "ff2") for k in ("w", "b")]
+        names += ["ast.final_ln.gain", "ast.final_ln.shift"]
+        names += [f"gru.{d}.{m}{gate}" for d in ("fwd", "bwd") for gate in "zrh" for m in "wub"]
+        names += ["head.w", "head.b"]
+        expected = names + [f"adam.{k}.{name}" for name in names for k in ("m", "v")]
+        assert (len(names), len(expected)) == (73, 219)
+
+        path = tmp_path / "default.wlann"
+        save_checkpoint(path, TrainState.create(WlannConfig()))
+        with path.open("rb") as handle:
+            assert handle.read(6) == b"WLANN1"
+            (header_len,) = struct.unpack("<I", handle.read(4))
+            header = json.loads(handle.read(header_len))
+        assert [entry["name"] for entry in header["tensors"]] == expected
 
     def test_fit_epochs_zero_writes_initial_params(self, tmp_path, tiny_corpus):
         corpus, train_split, _, _ = tiny_corpus
