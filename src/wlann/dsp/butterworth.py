@@ -46,7 +46,7 @@ def design_butterworth_bandpass(
     """Design a band-pass filter from an order-`order` Butterworth prototype.
 
     Cached, because callers design the same filter once per clip; every
-    caller shares the returned filter.
+    caller shares the returned filter, so its sections are read-only.
     """
     from scipy.signal import butter
 
@@ -59,6 +59,7 @@ def design_butterworth_bandpass(
         raise ValidationError(f"filter order must be >= 1, got {order}")
 
     sos = butter(order, (low_hz, high_hz), btype="bandpass", fs=fs_hz, output="sos")
+    sos.flags.writeable = False
     designed = BandpassFilter(
         sos=sos, order=order, low_hz=float(low_hz), high_hz=float(high_hz), sample_rate_hz=fs_hz
     )
@@ -78,5 +79,6 @@ def apply_filter(bandpass: BandpassFilter, clip: AudioClip) -> AudioClip:
             f"filter designed for {bandpass.sample_rate_hz} Hz cannot run on a "
             f"{clip.sample_rate_hz} Hz clip"
         )
-    filtered = sosfilt(bandpass.sos, clip.samples)
+    # The compiled section loop only accepts writable buffers; it writes to none of this one.
+    filtered = sosfilt(bandpass.sos.copy(), clip.samples)
     return AudioClip(np.clip(filtered, -1.0, 1.0), clip.sample_rate_hz, source=clip.source)

@@ -102,7 +102,9 @@ class LogMelSpectrogram:
 
 @lru_cache(maxsize=1)
 def _cached_filterbank() -> np.ndarray:
-    return mel_filterbank()[0]
+    weights = mel_filterbank()[0]
+    weights.flags.writeable = False
+    return weights
 
 
 def log_mel(clip: AudioClip) -> LogMelSpectrogram:

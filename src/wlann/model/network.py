@@ -84,7 +84,7 @@ class WlannParams(ParamGroup):
                 truncated_normal(rng, (cfg.num_patches, cfg.ast.embed_dim), std), name="ast.pos"
             ),
             blocks=[
-                TransformerBlockParams.create(cfg.ast.embed_dim, cfg.ast.heads, rng, prefix=f"ast.block.{i}")
+                TransformerBlockParams.create(cfg.ast.embed_dim, cfg.ast.heads, std, rng, f"ast.block.{i}")
                 for i in range(cfg.ast.depth)
             ],
             final_ln_gain=Tensor(np.ones(cfg.ast.embed_dim), name="ast.final_ln.gain"),
@@ -236,13 +236,13 @@ def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, 
     wo, c_wave = waveform_branch(waveform, params, cfg)
     ao, c_ast = ast_branch(spec, params, cfg)
     fused, ast_channels = fuse(wo, ao)
-    (scores, frames), c_head = classify_head(fused, params, cfg)
-    return scores, (c_wave, c_ast, ast_channels, c_head, frames)
+    (scores, _), c_head = classify_head(fused, params, cfg)
+    return scores, (c_wave, c_ast, ast_channels, c_head)
 
 
 def backward(dscores: np.ndarray, cache) -> None:
     """Accumulate parameter gradients for one example."""
-    c_wave, c_ast, ast_channels, c_head, _ = cache
+    c_wave, c_ast, ast_channels, c_head = cache
     dfused = classify_head_vjp(dscores, c_head)
     dwo, dao = fuse_vjp(dfused, ast_channels)
     ast_branch_vjp(dao, c_ast)

@@ -29,12 +29,12 @@ class AttentionParams(ParamGroup):
     heads: int
 
     @classmethod
-    def create(cls, dim: int, heads: int, rng: np.random.Generator, prefix: str = "attn"):
+    def create(cls, dim: int, heads: int, std: float, rng: np.random.Generator, prefix: str = "attn"):
         if dim % heads != 0:
             raise ConfigError(f"embedding dim {dim} not divisible by {heads} heads")
 
         def weight(tag):
-            return Tensor(truncated_normal(rng, (dim, dim)), name=f"{prefix}.{tag}.w")
+            return Tensor(truncated_normal(rng, (dim, dim), std), name=f"{prefix}.{tag}.w")
 
         def bias(tag):
             return Tensor(np.zeros(dim), name=f"{prefix}.{tag}.b")
@@ -109,17 +109,17 @@ class TransformerBlockParams(ParamGroup):
     ff2_b: Tensor
 
     @classmethod
-    def create(cls, dim: int, heads: int, rng: np.random.Generator, prefix: str = "block"):
+    def create(cls, dim: int, heads: int, std: float, rng: np.random.Generator, prefix: str = "block"):
         hidden = FF_EXPANSION * dim
         return cls(
             ln1_gain=Tensor(np.ones(dim), name=f"{prefix}.ln1.gain"),
             ln1_shift=Tensor(np.zeros(dim), name=f"{prefix}.ln1.shift"),
-            attn=AttentionParams.create(dim, heads, rng, prefix=f"{prefix}.attn"),
+            attn=AttentionParams.create(dim, heads, std, rng, prefix=f"{prefix}.attn"),
             ln2_gain=Tensor(np.ones(dim), name=f"{prefix}.ln2.gain"),
             ln2_shift=Tensor(np.zeros(dim), name=f"{prefix}.ln2.shift"),
-            ff1_w=Tensor(truncated_normal(rng, (hidden, dim)), name=f"{prefix}.ff1.w"),
+            ff1_w=Tensor(truncated_normal(rng, (hidden, dim), std), name=f"{prefix}.ff1.w"),
             ff1_b=Tensor(np.zeros(hidden), name=f"{prefix}.ff1.b"),
-            ff2_w=Tensor(truncated_normal(rng, (dim, hidden)), name=f"{prefix}.ff2.w"),
+            ff2_w=Tensor(truncated_normal(rng, (dim, hidden), std), name=f"{prefix}.ff2.w"),
             ff2_b=Tensor(np.zeros(dim), name=f"{prefix}.ff2.b"),
         )
 

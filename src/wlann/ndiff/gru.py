@@ -1,4 +1,4 @@
-"""Gated recurrent units: a directional scan and the bidirectional stack over it.
+"""Gated recurrent units: a forward scan and the bidirectional stack over it.
 
 Gate equations, with W* acting on the input and U* on the hidden state:
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError, ValidationError
+from . import functional as F
 from .tensor import ParamGroup, Tensor, scaled_normal
 
 
@@ -61,11 +62,12 @@ class GruCellParams(ParamGroup):
         return self.wz.shape[1]
 
 
-def gru_sequence(xs: np.ndarray, params: GruCellParams, reverse: bool = False):
-    """Scan a (T, D_in) sequence from a zero initial state; returns (T, H).
+def gru_sequence(xs: np.ndarray, params: GruCellParams):
+    """Scan a (T, D_in) sequence forward from a zero initial state; returns (T, H).
 
     Input projections are batched outside the recurrence; only the
-    hidden-to-hidden work runs step by step.
+    hidden-to-hidden work runs step by step. The output is a view of the
+    cached states, so callers must not write to it.
     """
     from scipy.special import expit
 
@@ -73,86 +75,70 @@ def gru_sequence(xs: np.ndarray, params: GruCellParams, reverse: bool = False):
         raise ShapeError(f"gru sequence expects (T, D_in), got {xs.shape}")
     if xs.shape[1] != params.input_size:
         raise ShapeError(f"gru sequence expects input width {params.input_size}, got {xs.shape[1]}")
-    steps = xs.shape[0]
-    hidden = params.hidden_size
-    order = np.arange(steps)[::-1] if reverse else np.arange(steps)
+    steps, hidden = xs.shape[0], params.hidden_size
 
-    xz = xs @ params.wz.data.T + params.bz.data
-    xr = xs @ params.wr.data.T + params.br.data
-    xh = xs @ params.wh.data.T + params.bh.data
+    xz, c_z = F.linear(xs, params.wz, params.bz)
+    xr, c_r = F.linear(xs, params.wr, params.br)
+    xh, c_h = F.linear(xs, params.wh, params.bh)
 
-    h = np.zeros(hidden, dtype=xs.dtype)
-    h_prev_all = np.zeros((steps, hidden), dtype=xs.dtype)
-    z_all = np.zeros((steps, hidden), dtype=xs.dtype)
-    r_all = np.zeros((steps, hidden), dtype=xs.dtype)
-    rh_all = np.zeros((steps, hidden), dtype=xs.dtype)
-    c_all = np.zeros((steps, hidden), dtype=xs.dtype)
-    out = np.zeros((steps, hidden), dtype=xs.dtype)
+    # Row 0 is the zero initial state; row t + 1 is the output of step t.
+    states = np.zeros((steps + 1, hidden), dtype=xs.dtype)
+    z_all, r_all, c_all = np.zeros((3, steps, hidden), dtype=xs.dtype)
 
-    for i, t in enumerate(order):
+    for t in range(steps):
+        h = states[t]
         z = expit(xz[t] + params.uz.data @ h)
         r = expit(xr[t] + params.ur.data @ h)
-        rh = r * h
-        c = np.tanh(xh[t] + params.uh.data @ rh)
-        h_prev_all[i], z_all[i], r_all[i], rh_all[i], c_all[i] = h, z, r, rh, c
-        h = (1.0 - z) * h + z * c
-        out[t] = h
+        c = np.tanh(xh[t] + params.uh.data @ (r * h))
+        z_all[t], r_all[t], c_all[t] = z, r, c
+        states[t + 1] = (1.0 - z) * h + z * c
 
-    cache = (xs, order, h_prev_all, z_all, r_all, rh_all, c_all, params)
-    return out, cache
+    return states[1:], (c_z, c_r, c_h, states, z_all, r_all, c_all, params)
 
 
 def gru_sequence_vjp(dout: np.ndarray, cache):
-    xs, order, h_prev_all, z_all, r_all, rh_all, c_all, p = cache
-    steps = xs.shape[0]
-    da_z = np.zeros_like(z_all)
-    da_r = np.zeros_like(r_all)
-    da_c = np.zeros_like(c_all)
+    c_z, c_r, c_h, states, z_all, r_all, c_all, p = cache
+    h_prev_all = states[:-1]
+    da_z, da_r, da_c = np.zeros((3, *z_all.shape), dtype=z_all.dtype)
 
-    carry = np.zeros(p.hidden_size, dtype=xs.dtype)
-    for i in range(steps - 1, -1, -1):
-        t = order[i]
+    carry = np.zeros(p.hidden_size, dtype=states.dtype)
+    for t in range(len(z_all) - 1, -1, -1):
         dh = dout[t] + carry
-        z, r, rh, c, h_prev = z_all[i], r_all[i], rh_all[i], c_all[i], h_prev_all[i]
+        z, r, c, h_prev = z_all[t], r_all[t], c_all[t], h_prev_all[t]
 
         dc = dh * z
         dh_prev = dh * (1.0 - z)
-        da_c[i] = dc * (1.0 - c * c)
-        drh = p.uh.data.T @ da_c[i]
+        da_c[t] = dc * (1.0 - c * c)
+        drh = p.uh.data.T @ da_c[t]
         dh_prev = dh_prev + drh * r
-        da_z[i] = dh * (c - h_prev) * z * (1.0 - z)
-        dh_prev = dh_prev + p.uz.data.T @ da_z[i]
-        da_r[i] = drh * h_prev * r * (1.0 - r)
-        dh_prev = dh_prev + p.ur.data.T @ da_r[i]
+        da_z[t] = dh * (c - h_prev) * z * (1.0 - z)
+        dh_prev = dh_prev + p.uz.data.T @ da_z[t]
+        da_r[t] = drh * h_prev * r * (1.0 - r)
+        dh_prev = dh_prev + p.ur.data.T @ da_r[t]
         carry = dh_prev
 
-    xs_ordered = xs[order]
-    p.wz.add_grad(da_z.T @ xs_ordered)
-    p.wr.add_grad(da_r.T @ xs_ordered)
-    p.wh.add_grad(da_c.T @ xs_ordered)
     p.uz.add_grad(da_z.T @ h_prev_all)
     p.ur.add_grad(da_r.T @ h_prev_all)
-    p.uh.add_grad(da_c.T @ rh_all)
-    p.bz.add_grad(da_z.sum(axis=0))
-    p.br.add_grad(da_r.sum(axis=0))
-    p.bh.add_grad(da_c.sum(axis=0))
+    p.uh.add_grad(da_c.T @ (r_all * h_prev_all))
 
-    dxs = np.zeros_like(xs)
-    dxs[order] = da_z @ p.wz.data + da_r @ p.wr.data + da_c @ p.wh.data
+    dxs = F.linear_vjp(da_z, c_z)
+    dxs += F.linear_vjp(da_r, c_r)
+    dxs += F.linear_vjp(da_c, c_h)
     return dxs
 
 
 def bigru(xs: np.ndarray, forward: GruCellParams, backward: GruCellParams):
-    """Bidirectional scan: per step, concatenate [forward_h ; backward_h]."""
+    """Bidirectional scan: row t is [forward_h ; backward_h] of step t. The backward
+    cell scans the reversed sequence, and its output is flipped back."""
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise ValidationError(f"bigru needs a nonempty (T, D_in) sequence, got shape {xs.shape}")
-    out_f, cache_f = gru_sequence(xs, forward, reverse=False)
-    out_b, cache_b = gru_sequence(xs, backward, reverse=True)
-    return np.concatenate([out_f, out_b], axis=1), (cache_f, cache_b, forward.hidden_size)
+    out_f, cache_f = gru_sequence(xs, forward)
+    out_b, cache_b = gru_sequence(xs[::-1].copy(), backward)
+    return np.concatenate([out_f, out_b[::-1]], axis=1), (cache_f, cache_b, forward.hidden_size)
 
 
 def bigru_vjp(dout: np.ndarray, cache):
     cache_f, cache_b, hidden = cache
     dxs = gru_sequence_vjp(dout[:, :hidden].copy(), cache_f)
-    dxs += gru_sequence_vjp(dout[:, hidden:].copy(), cache_b)
+    dxs += gru_sequence_vjp(dout[::-1, hidden:].copy(), cache_b)[::-1]
     return dxs

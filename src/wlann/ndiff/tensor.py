@@ -98,9 +98,7 @@ def _walk(value) -> Iterator[Tensor]:
             yield from _walk(item)
 
 
-def truncated_normal(
-    rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02
-) -> np.ndarray:
+def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
     """Normal draws clipped at two standard deviations."""
     return np.clip(rng.standard_normal(shape) * std, -2.0 * std, 2.0 * std)
 

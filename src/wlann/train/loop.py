@@ -108,6 +108,7 @@ def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, 
         if int(np.argmax(scores)) == example.label_index:
             correct += 1
         backward(focal_loss_vjp(scale, loss_cache), cache)
+        del cache, loss_cache  # free this example's activations before the next forward
     state.optimizer.step()
     state.step += 1
     mean_loss = total_loss * scale
@@ -175,19 +176,19 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
         "optimizer_steps": state.optimizer.step_count,
         "loss_history_tail": [float(x) for x in state.loss_history[-20:]],
         "label_order": [label.value for label in LABELS],
-        "initializer": "truncated-normal(0.02) linear / scaled-normal gru / zero bias",
+        "initializer": f"truncated-normal({state.cfg.init_std}) linear / scaled-normal gru / zero bias",
         "fusion_order": "spectrogram channels first, waveform groups second",
     }
     save_archive(path, kind="checkpoint", config=state.cfg.to_dict(), tensors=tensors, metadata=metadata)
 
 
 def load_checkpoint(path: str | Path) -> tuple[WlannConfig, WlannParams, Archive]:
-    """Load a checkpoint for inference: config plus restored parameters."""
+    """Load a checkpoint for inference: config, restored parameters and the tensor-free header."""
     archive = load_archive(path)
     cfg = WlannConfig.from_dict(archive.config)
     params = WlannParams.create(cfg)
     restore_parameters(archive, params.named())
-    return cfg, params, archive
+    return cfg, params, Archive(archive.kind, archive.config, archive.metadata)
 
 
 def load_train_state(path: str | Path) -> TrainState:

@@ -138,10 +138,10 @@ def run_gradient_suite(seed: int = 0, e2e_samples: int = 6) -> list[tuple[str, G
                                          F.adaptive_mean_pool_vjp, (7, 3), args=(3,))),
         ("multi_head_self_attention", _op_check(
             rng, "mhsa", mhsa, mhsa_vjp, (3, 4),
-            groups=[AttentionParams.create(4, 2, rng, prefix="mhsa")])),
+            groups=[AttentionParams.create(4, 2, 0.02, rng, prefix="mhsa")])),
         ("transformer_block", _op_check(
             rng, "block", transformer_block, transformer_block_vjp, (3, 4),
-            groups=[TransformerBlockParams.create(4, 2, rng, prefix="block")])),
+            groups=[TransformerBlockParams.create(4, 2, 0.02, rng, prefix="block")])),
         # Four steps, so the gradient carried back through the hidden state is probed.
         ("gru_sequence", _op_check(
             rng, "gruseq", gru_sequence, gru_sequence_vjp, (4, 3),

@@ -140,8 +140,8 @@ def float32_cases(rng) -> dict:
         "layer_norm": (values(6, 5), param(5), param(5)),
         "mean_pool": (values(3, 4, 5), 1),
         "adaptive_mean_pool": (values(7, 3), 3),
-        "multi_head_self_attention": (values(3, 4), float32(attention.AttentionParams.create(4, 2, rng))),
-        "transformer_block": (values(3, 4), float32(attention.TransformerBlockParams.create(4, 2, rng))),
+        "multi_head_self_attention": (values(3, 4), float32(attention.AttentionParams.create(4, 2, 0.02, rng))),
+        "transformer_block": (values(3, 4), float32(attention.TransformerBlockParams.create(4, 2, 0.02, rng))),
         "gru_sequence": (values(4, 3), float32(gru.GruCellParams.create(3, 3, rng))),
         "bigru": (
             values(5, 3),

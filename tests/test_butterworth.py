@@ -81,6 +81,12 @@ class TestDesign:
             expected = analytic_gain_db(order, 40.0, 850.0, freqs, FS)
             np.testing.assert_allclose(designed.gain_db(freqs), expected, rtol=0, atol=1e-6)
 
+    def test_shared_sections_are_read_only(self, bandpass):
+        """Every caller gets the same cached filter, so none may write to it."""
+        assert design_butterworth_bandpass(4, 40.0, 850.0, FS) is bandpass
+        with pytest.raises(ValueError, match="read-only"):
+            bandpass.sos[0, 0] = 0.0
+
     def test_edge_at_nyquist_rejected(self):
         with pytest.raises(ValidationError):
             design_butterworth_bandpass(4, 40.0, 8000.0, FS)

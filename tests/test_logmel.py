@@ -101,6 +101,16 @@ class TestValues:
 
 
 class TestFilterbank:
+    def test_shared_weights_are_read_only(self):
+        """Every `log_mel` call shares the cached weights, so none may write to them."""
+        from wlann.dsp.mel import _cached_filterbank
+
+        weights = _cached_filterbank()
+        assert _cached_filterbank() is weights
+        np.testing.assert_array_equal(weights, mel_filterbank()[0])
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 0.0
+
     def test_shape(self):
         weights, centers = mel_filterbank()
         assert weights.shape == (MEL_BINS, FFT_SIZE // 2 + 1)

@@ -29,7 +29,7 @@ from wlann.model.config import (
 )
 from wlann.verify import micro_config
 
-from conftest import small_train_config
+from conftest import float_arrays, small_train_config
 
 
 class TestDefaultGeometry:
@@ -62,6 +62,18 @@ class TestDefaultGeometry:
         assert scores.shape == (7,)
         assert frames.shape == (98, 2 * cfg.gru_hidden)
         assert np.all((scores > 0) & (scores < 1))
+
+    def test_init_std_reaches_transformer_weights(self):
+        """Attention and feed-forward weights draw at the config's `init_std`, as the
+        other truncated-normal weights do (clipping at 2 std leaves about 0.96 std)."""
+        cfg = WlannConfig(init_std=0.25)
+        named = WlannParams.create(cfg).named()
+        block_weights = [n for n in named if n.startswith("ast.block.") and n.endswith(".w")]
+        assert len(block_weights) == 6 * cfg.ast.depth
+        for name in [*block_weights, "cnn.0.w", "ast.embed.w", "head.w"]:
+            data = named[name].data
+            assert 0.2 < data.std() < 0.25, name
+            assert np.abs(data).max() <= 2 * 0.25 * (1 + 1e-6), name
 
 
 class TestConfigValidation:
@@ -304,6 +316,19 @@ class TestStructuralIdentities:
         second, _ = forward(waveform, spec, params, cfg)
         np.testing.assert_array_equal(first, second)
 
+    def test_forward_cache_holds_no_bigru_output(self, rng):
+        """`backward` never reads the Bi-GRU output, so the forward cache does not keep it."""
+        cfg = micro_config()
+        params = WlannParams.create(cfg)
+        waveform = rng.uniform(-0.5, 0.5, (1, cfg.fixed_samples))
+        spec = LogMelSpectrogram(values=rng.standard_normal((128, cfg.spec_frames)))
+        _, cache = forward(waveform, spec, params, cfg)
+        fused, _ = fuse(waveform_branch(waveform, params, cfg)[0], ast_branch(spec, params, cfg)[0])
+        (_, frames), _ = classify_head(fused, params, cfg)
+        cached = list(float_arrays(cache))
+        assert cached
+        assert not any(a.shape == frames.shape and np.array_equal(a, frames) for a in cached)
+
     def test_single_patch_column(self, rng):
         """Inputs with exactly 16 frames produce a 15 x 1 token grid."""
         cfg = WlannConfig(
@@ -339,9 +364,10 @@ class TestShapeLaws:
         params = WlannParams.create(cfg)
         waveform = rng.uniform(-0.5, 0.5, (1, cfg.fixed_samples))
         spec = LogMelSpectrogram(values=rng.standard_normal((128, cfg.spec_frames)))
-        scores, cache = forward(waveform, spec, params, cfg)
+        scores, _ = forward(waveform, spec, params, cfg)
         assert scores.shape == (cfg.num_classes,)
-        frames = cache[-1]
+        fused, _ = fuse(waveform_branch(waveform, params, cfg)[0], ast_branch(spec, params, cfg)[0])
+        (_, frames), _ = classify_head(fused, params, cfg)
         assert frames.shape == (cfg.time_common, 2 * cfg.gru_hidden)
         assert cfg.time_patches == (cfg.spec_frames - 16) // 8 + 1
         assert cfg.channel_groups == widths[-1] // 15

@@ -16,6 +16,7 @@ from wlann.ndiff import (
     Tensor,
     TransformerBlockParams,
     bigru,
+    bigru_vjp,
     gru_sequence,
     multi_head_self_attention,
     transformer_block,
@@ -315,7 +316,7 @@ class TestPooling:
 
 class TestAttention:
     def test_single_token_attention_weight_is_one(self, rng):
-        params = AttentionParams.create(6, 2, rng)
+        params = AttentionParams.create(6, 2, 0.02, rng)
         x = rng.standard_normal((1, 6))
         y, cache = multi_head_self_attention(x, params)
         # softmax over a single key must be exactly 1
@@ -327,7 +328,7 @@ class TestAttention:
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
-        params = AttentionParams.create(8, 4, rng)
+        params = AttentionParams.create(8, 4, 0.02, rng)
         _, cache = multi_head_self_attention(rng.standard_normal((5, 8)), params)
         attn = cache[8]
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -335,7 +336,7 @@ class TestAttention:
 
     def test_single_head_matches_explicit_formula(self, rng):
         """N=3, D=4, one head: independent composition of the textbook formula."""
-        params = AttentionParams.create(4, 1, rng)
+        params = AttentionParams.create(4, 1, 0.02, rng)
         x = rng.standard_normal((3, 4))
         y, _ = multi_head_self_attention(x, params)
 
@@ -350,12 +351,12 @@ class TestAttention:
 
     def test_indivisible_heads_rejected(self, rng):
         with pytest.raises(Exception):
-            AttentionParams.create(6, 4, rng)
+            AttentionParams.create(6, 4, 0.02, rng)
 
 
 class TestTransformerBlock:
     def test_zero_everything_maps_zero_to_zero(self, rng):
-        params = TransformerBlockParams.create(4, 2, rng)
+        params = TransformerBlockParams.create(4, 2, 0.02, rng)
         for t in params.tensors():
             t.data = np.zeros_like(t.data)
         y, _ = transformer_block(np.zeros((3, 4)), params)
@@ -363,7 +364,7 @@ class TestTransformerBlock:
 
     def test_shape_preserved(self, rng):
         for n, d in ((1, 4), (7, 8), (12, 16)):
-            params = TransformerBlockParams.create(d, 2, rng)
+            params = TransformerBlockParams.create(d, 2, 0.02, rng)
             y, _ = transformer_block(rng.standard_normal((n, d)), params)
             assert y.shape == (n, d)
 
@@ -376,7 +377,88 @@ def gru_step(x, h, p):
     return (1.0 - z) * h + z * c
 
 
+def order_permuted_gru_reference(xs, p, reverse, dout):
+    """A directional scan and its VJP that visit steps through a permutation, in
+    place of reversing the sequence; both return (out, dxs) and accumulate into p."""
+    from scipy.special import expit
+
+    steps, hidden = xs.shape[0], p.hidden_size
+    order = np.arange(steps)[::-1] if reverse else np.arange(steps)
+    xz = xs @ p.wz.data.T + p.bz.data
+    xr = xs @ p.wr.data.T + p.br.data
+    xh = xs @ p.wh.data.T + p.bh.data
+    h = np.zeros(hidden, dtype=xs.dtype)
+    h_prev_all, z_all, r_all, rh_all, c_all, out = (
+        np.zeros((steps, hidden), dtype=xs.dtype) for _ in range(6)
+    )
+    for i, t in enumerate(order):
+        z = expit(xz[t] + p.uz.data @ h)
+        r = expit(xr[t] + p.ur.data @ h)
+        rh = r * h
+        c = np.tanh(xh[t] + p.uh.data @ rh)
+        h_prev_all[i], z_all[i], r_all[i], rh_all[i], c_all[i] = h, z, r, rh, c
+        h = (1.0 - z) * h + z * c
+        out[t] = h
+
+    da_z, da_r, da_c = np.zeros_like(z_all), np.zeros_like(r_all), np.zeros_like(c_all)
+    carry = np.zeros(hidden, dtype=xs.dtype)
+    for i in range(steps - 1, -1, -1):
+        t = order[i]
+        dh = dout[t] + carry
+        z, r, c, h_prev = z_all[i], r_all[i], c_all[i], h_prev_all[i]
+        dc = dh * z
+        dh_prev = dh * (1.0 - z)
+        da_c[i] = dc * (1.0 - c * c)
+        drh = p.uh.data.T @ da_c[i]
+        dh_prev = dh_prev + drh * r
+        da_z[i] = dh * (c - h_prev) * z * (1.0 - z)
+        dh_prev = dh_prev + p.uz.data.T @ da_z[i]
+        da_r[i] = drh * h_prev * r * (1.0 - r)
+        dh_prev = dh_prev + p.ur.data.T @ da_r[i]
+        carry = dh_prev
+    xs_ordered = xs[order]
+    p.wz.add_grad(da_z.T @ xs_ordered)
+    p.wr.add_grad(da_r.T @ xs_ordered)
+    p.wh.add_grad(da_c.T @ xs_ordered)
+    p.uz.add_grad(da_z.T @ h_prev_all)
+    p.ur.add_grad(da_r.T @ h_prev_all)
+    p.uh.add_grad(da_c.T @ rh_all)
+    p.bz.add_grad(da_z.sum(axis=0))
+    p.br.add_grad(da_r.sum(axis=0))
+    p.bh.add_grad(da_c.sum(axis=0))
+    dxs = np.zeros_like(xs)
+    dxs[order] = da_z @ p.wz.data + da_r @ p.wr.data + da_c @ p.wh.data
+    return out, dxs
+
+
 class TestGru:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("steps,width,hidden", [(1, 3, 4), (7, 3, 5), (98, 80, 64)])
+    def test_bigru_bitwise_equal_to_order_permuted_scan(self, rng, dtype, steps, width, hidden):
+        """Reversing the sequence runs the same multiplies and sums, in the same
+        order, as scanning it through a reversed step permutation."""
+        cells = [GruCellParams.create(width, hidden, rng, prefix=tag) for tag in ("f", "b")]
+        for t in (t for cell in cells for t in cell.tensors()):
+            t.data = (rng.standard_normal(t.shape) * 0.5).astype(dtype)
+        refs = [GruCellParams(*(Tensor(t.data.copy(), name=t.name) for t in cell.tensors()))
+                for cell in cells]
+        xs = rng.standard_normal((steps, width)).astype(dtype)
+        dout = rng.standard_normal((steps, 2 * hidden)).astype(dtype)
+
+        out, cache = bigru(xs, *cells)
+        dxs = bigru_vjp(dout, cache)
+        out_f, dxs_f = order_permuted_gru_reference(xs, refs[0], False, dout[:, :hidden].copy())
+        out_b, dxs_b = order_permuted_gru_reference(xs, refs[1], True, dout[:, hidden:].copy())
+        dxs_f += dxs_b
+
+        pairs = [(out, np.concatenate([out_f, out_b], axis=1)), (dxs, dxs_f)]
+        for cell, ref in zip(cells, refs):
+            pairs += [(t.grad, r.grad) for t, r in zip(cell.tensors(), ref.tensors())]
+        assert len(pairs) == 2 + 18
+        for got, want in pairs:
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
     def test_update_gate_forced_closed_carries_state(self, rng):
         """Large negative update-gate bias carries the zero initial state through."""
         params = GruCellParams.create(3, 4, rng)

@@ -3,6 +3,7 @@
 import errno
 import json
 import struct
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -109,6 +110,25 @@ class TestTrainStep:
         batch = synthetic_batch(cfg, np.random.default_rng(2), n=2)
         with pytest.raises(NumericError, match=r"step 0 on example 'clip0'"):
             train_step(batch, state)
+
+    def test_peak_memory_does_not_grow_with_batch_size(self, rng):
+        """Each example's caches are freed before the next example's forward runs."""
+        cfg = small_train_config()
+        batch = synthetic_batch(cfg, rng, n=2)
+
+        def step_peak(examples):
+            state = TrainState.create(cfg)
+            train_step(examples, state)  # first-call imports and caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train_step(examples, state)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        single, pair = step_peak(batch[:1]), step_peak(batch)
+        assert pair <= single * 1.02, (single, pair)
 
     def test_empty_batch_rejected(self):
         cfg = small_train_config()
@@ -366,6 +386,16 @@ class TestStateRoundTrip:
             (header_len,) = struct.unpack("<I", handle.read(4))
             header = json.loads(handle.read(header_len))
         assert [entry["name"] for entry in header["tensors"]] == expected
+
+    def test_load_checkpoint_returns_header_without_tensors(self, tmp_path):
+        cfg = small_train_config(init_std=0.05)
+        path = tmp_path / "ckpt.wlann"
+        save_checkpoint(path, TrainState.create(cfg))
+        _, _, header = load_checkpoint(path)
+        full = load_archive(path)
+        assert header.tensors == {}
+        assert (header.kind, header.config, header.metadata) == (full.kind, full.config, full.metadata)
+        assert header.metadata["initializer"].startswith("truncated-normal(0.05) linear")
 
     def test_fit_epochs_zero_writes_initial_params(self, tmp_path, tiny_corpus):
         corpus, train_split, _, _ = tiny_corpus
