@@ -108,15 +108,19 @@ def load_wav(path: str | Path) -> AudioClip:
     if channels < 1:
         raise FormatError(f"{path}: channel count {channels} is invalid")
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2")
-        values = raw.astype(np.float64) / PCM16_SCALE
+        sample_type, scale = "<i2", PCM16_SCALE
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        values = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        sample_type, scale = "<f4", 1.0
     else:
         raise FormatError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "
             "expected 16-bit PCM or 32-bit float"
         )
+    if len(data) % (bits // 8):
+        raise FormatError(
+            f"{path}: data chunk of {len(data)} bytes is not a whole number of {bits}-bit samples"
+        )
+    values = np.frombuffer(data, dtype=sample_type).astype(np.float64) / scale
     if values.size == 0:
         raise ValidationError(f"{path}: zero-length audio")
     if channels > 1:

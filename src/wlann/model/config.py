@@ -112,11 +112,6 @@ class WlannConfig:
         return self.freq_patches * self.time_patches
 
     @property
-    def time_common(self) -> int:
-        """Shared frame count of the fused grid (the patch-grid time axis)."""
-        return self.time_patches
-
-    @property
     def channel_groups(self) -> int:
         return self.cnn.output_channels // self.freq_patches
 
@@ -130,10 +125,6 @@ class WlannConfig:
         for stride in self.cnn.strides:
             lengths.append(conv1d_output_length(lengths[-1], self.cnn.kernel, stride))
         return lengths
-
-    @property
-    def t_raw(self) -> int:
-        return self.conv_lengths()[-1]
 
     @property
     def numpy_dtype(self):

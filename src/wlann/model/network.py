@@ -117,15 +117,15 @@ def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig)
         layer_caches.append((c_conv, c_ln, c_act))
 
     co = x.T  # (T_raw, C_w)
-    pooled, c_pool = F.adaptive_mean_pool(co, cfg.time_common)
-    grid = pooled.reshape(cfg.time_common, cfg.channel_groups, cfg.freq_patches)
+    pooled, c_pool = F.adaptive_mean_pool(co, cfg.time_patches)
+    grid = pooled.reshape(cfg.time_patches, cfg.channel_groups, cfg.freq_patches)
     wo = np.ascontiguousarray(grid.transpose(2, 0, 1))  # (F, T, groups)
     return wo, (layer_caches, c_pool, cfg)
 
 
 def waveform_branch_vjp(dwo: np.ndarray, cache):
     layer_caches, c_pool, cfg = cache
-    dpooled = dwo.transpose(1, 2, 0).reshape(cfg.time_common, cfg.cnn.output_channels)
+    dpooled = dwo.transpose(1, 2, 0).reshape(cfg.time_patches, cfg.cnn.output_channels)
     dco = F.adaptive_mean_pool_vjp(dpooled, c_pool)
     dx = dco.T
     for i, (c_conv, c_ln, c_act) in enumerate(reversed(layer_caches)):

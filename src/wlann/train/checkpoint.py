@@ -9,14 +9,16 @@ Layout:
 
 The tensor table stores (name, shape, element offset) per entry, so the
 file is self-describing and round-trips bit-exactly at 32-bit precision.
-The payload ends where the table's last tensor ends. Writes go to a
-temporary file renamed over the target, so an existing archive is only
-ever replaced by a complete one.
+The payload ends where the table's last tensor ends. Tensors are written
+straight to a temporary file renamed over the target, so an existing
+archive is only ever replaced by a complete one; a load returns them as
+read-only views of the bytes read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import warnings
@@ -40,7 +42,7 @@ MAGIC = b"WLANN1"
 
 @dataclass
 class Archive:
-    """Decoded WLANN1 file: config + metadata + named float32 tensors."""
+    """Decoded WLANN1 file: config, metadata, and float32 tensors viewing the bytes read."""
 
     kind: str
     config: dict
@@ -56,13 +58,11 @@ def save_archive(
     metadata: dict | None = None,
 ) -> None:
     table = []
-    payloads = []
     offset = 0
     for name, value in tensors.items():
-        data = np.ascontiguousarray(value, dtype="<f4")
-        table.append({"name": name, "shape": list(data.shape), "offset": offset})
-        payloads.append(data.tobytes())
-        offset += data.size
+        shape = np.shape(value)
+        table.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape)
     header = {
         "kind": kind,
         "config": config,
@@ -77,8 +77,8 @@ def save_archive(
             handle.write(MAGIC)
             handle.write(struct.pack("<I", len(header_bytes)))
             handle.write(header_bytes)
-            for blob in payloads:
-                handle.write(blob)
+            for value in tensors.values():
+                handle.write(np.ascontiguousarray(value, dtype="<f4"))
         os.replace(partial, path)
     except OSError as exc:
         raise StorageError(f"cannot write archive {path}: {exc}") from exc
@@ -121,26 +121,26 @@ def load_archive(path: str | Path) -> Archive:
             "and a tensor list)",
         )
 
-    payload = raw[header_start + header_len :]
+    payload_start = header_start + header_len
     tensors: dict[str, np.ndarray] = {}
-    table_end = 0
+    table_end = payload_start
     for entry in table:
         name, shape, offset = _table_entry(entry, path)
-        size = int(np.prod(shape)) if shape else 1
-        start = offset * 4
+        size = math.prod(shape)
+        start = payload_start + offset * 4
         end = start + size * 4
-        if end > len(payload):
+        if end > len(raw):
             raise CheckpointError(
                 CHECKPOINT_TRUNCATED,
                 f"{path}: truncated payload for tensor {name!r} "
-                f"(need {end} bytes, have {len(payload)})",
+                f"(need {end - payload_start} bytes, have {len(raw) - payload_start})",
             )
-        tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+        tensors[name] = np.frombuffer(raw, "<f4", count=size, offset=start).reshape(shape)
         table_end = max(table_end, end)
-    if len(payload) > table_end:
+    if len(raw) > table_end:
         raise CheckpointError(
             CHECKPOINT_TRAILING_BYTES,
-            f"{path}: {len(payload) - table_end} bytes after the last tensor",
+            f"{path}: {len(raw) - table_end} bytes after the last tensor",
         )
     return Archive(kind=kind, config=config, metadata=metadata, tensors=tensors)
 
@@ -157,7 +157,7 @@ def _table_entry(entry, path: Path) -> tuple[str, tuple[int, ...], int]:
 
 
 def restore_parameters(archive: Archive, named_params: dict[str, "np.ndarray | object"]) -> None:
-    """Copy archive tensors into tensor objects (parameters, Adam moments) by name.
+    """Copy archive tensors by name into the arrays tensor objects (parameters, Adam moments) own.
 
     A missing name or a wrong shape raises; unknown extra names in the
     archive only warn, so newer files load into older code. Extra `adam.*`
@@ -172,7 +172,7 @@ def restore_parameters(archive: Archive, named_params: dict[str, "np.ndarray | o
                 CHECKPOINT_SHAPE_MISMATCH,
                 f"tensor {name!r} has shape {stored.shape}, expected {tensor.data.shape}",
             )
-        tensor.data = stored.astype(tensor.data.dtype)
+        np.copyto(tensor.data, stored)
     extra = set(archive.tensors) - set(named_params)
     extra = {name for name in extra if not name.startswith("adam.")}
     if extra:

@@ -61,12 +61,10 @@ def augment_seed_for(base_seed: int, step: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, step, index]).generate_state(1)[0])
 
 
-def prepare_example(
-    clip: AudioClip, event: RespiratoryEvent, cfg: WlannConfig, example_id: str | None = None
-) -> PreparedExample:
+def prepare_example(clip: AudioClip, event: RespiratoryEvent, cfg: WlannConfig) -> PreparedExample:
     waveform, spec = prepare_input(clip, cfg)
     return PreparedExample(
-        example_id=example_id or f"{event.recording_id}@{event.onset_ms}",
+        example_id=f"{event.recording_id}@{event.onset_ms}",
         waveform=waveform,
         base_spec=spec,
         label_index=event.label.index,
@@ -196,9 +194,10 @@ def load_train_state(path: str | Path) -> TrainState:
     archive = load_archive(path)
     counters = {key: archive.metadata.get(key, 0) for key in ("step", "epoch", "optimizer_steps")}
     for key, value in counters.items():
-        if type(value) is not int:
+        if type(value) is not int or value < 0:
             raise CheckpointError(
-                CHECKPOINT_BAD_MAGIC, f"{path}: metadata {key!r} must be an integer, got {value!r}"
+                CHECKPOINT_BAD_MAGIC,
+                f"{path}: metadata {key!r} must be a non-negative integer, got {value!r}",
             )
     cfg = WlannConfig.from_dict(archive.config)
     state = TrainState.create(cfg)

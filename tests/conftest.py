@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ def small_train_config(**overrides) -> WlannConfig:
     )
     defaults.update(overrides)
     return WlannConfig(**defaults)
+
+
+def raw_wav_bytes(payload: bytes, channels=1, rate=8000, bits=16, audio_format=1) -> bytes:
+    """Independent minimal WAV writer so loader tests don't trust write_wav."""
+    block_align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", audio_format, channels, rate, rate * block_align,
+                      block_align, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 @pytest.fixture

@@ -253,8 +253,7 @@ class TestCriterion5ShapePipeline:
         ok = (
             cfg.spec_frames == 798
             and (cfg.freq_patches, cfg.time_patches) == (15, 98)
-            and cfg.t_raw == 374
-            and cfg.time_common == 98
+            and cfg.conv_lengths()[-1] == 374
             and cfg.fused_channels == 80
             and wo.shape == (15, 98, 16)
             and ao.shape == (15, 98, 64)
@@ -262,7 +261,7 @@ class TestCriterion5ShapePipeline:
         )
         announce(5, "shape pipeline", ok,
                  f"frames {cfg.spec_frames}, grid {cfg.freq_patches}x{cfg.time_patches}, "
-                 f"t_raw {cfg.t_raw}->{cfg.time_common}, fused {cfg.fused_channels}")
+                 f"t_raw {cfg.conv_lengths()[-1]}->{cfg.time_patches}, fused {cfg.fused_channels}")
         assert ok
 
 

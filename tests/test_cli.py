@@ -11,7 +11,7 @@ from wlann.dsp import spec_augment
 from wlann.model import AugmentConfig, WlannConfig, prepare_input
 from wlann.train import load_archive, save_archive
 
-from conftest import small_train_config
+from conftest import raw_wav_bytes, small_train_config
 
 
 def run_cli(*argv):
@@ -124,6 +124,16 @@ class TestPipeline:
         assert run_cli("features", "--wav", str(wav), "--out", str(out),
                        "--config", str(config)) == 1
         assert "error: fixed_input_seconds must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_features_partial_sample_wav_is_validation_error(self, workspace, tmp_path, capsys):
+        wav = tmp_path / "partial.wav"
+        wav.write_bytes(raw_wav_bytes(b"\x00" * 7))
+        out = tmp_path / "never.tns"
+        assert run_cli("features", "--wav", str(wav), "--out", str(out),
+                       "--config", str(workspace / "config.json")) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "partial.wav" in err
         assert not out.exists()
 
     def test_train_non_finite_learning_rate_is_validation_error(self, workspace, tmp_path,

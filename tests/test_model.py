@@ -42,8 +42,7 @@ class TestDefaultGeometry:
         assert cfg.freq_patches == 15
         assert cfg.time_patches == 98
         assert cfg.conv_lengths() == [128000, 25585, 6377, 1575, 374]
-        assert cfg.t_raw == 374
-        assert cfg.time_common == 98
+        assert cfg.conv_lengths()[-1] == 374
         assert cfg.channel_groups == 16
         assert cfg.fused_channels == 80
 
@@ -275,7 +274,7 @@ class TestStructuralIdentities:
         params = WlannParams.create(cfg)
         spec = LogMelSpectrogram(values=rng.standard_normal((128, cfg.spec_frames)))
         ao, _ = ast_branch(spec, params, cfg)
-        wo = np.zeros((cfg.freq_patches, cfg.time_common, cfg.channel_groups))
+        wo = np.zeros((cfg.freq_patches, cfg.time_patches, cfg.channel_groups))
         fused, ast_channels = fuse(wo, ao)
         assert ast_channels == cfg.ast.embed_dim
         np.testing.assert_array_equal(fused[:, :, ast_channels:], 0.0)
@@ -289,7 +288,7 @@ class TestStructuralIdentities:
         """Mean pooling over the grid's frequency axis erases row order."""
         cfg = micro_config()
         params = WlannParams.create(cfg)
-        fused = rng.standard_normal((cfg.freq_patches, cfg.time_common, cfg.fused_channels))
+        fused = rng.standard_normal((cfg.freq_patches, cfg.time_patches, cfg.fused_channels))
         (scores, _), _ = classify_head(fused, params, cfg)
         permuted = fused[rng.permutation(cfg.freq_patches)]
         (scores_p, _), _ = classify_head(permuted, params, cfg)
@@ -368,6 +367,6 @@ class TestShapeLaws:
         assert scores.shape == (cfg.num_classes,)
         fused, _ = fuse(waveform_branch(waveform, params, cfg)[0], ast_branch(spec, params, cfg)[0])
         (_, frames), _ = classify_head(fused, params, cfg)
-        assert frames.shape == (cfg.time_common, 2 * cfg.gru_hidden)
+        assert frames.shape == (cfg.time_patches, 2 * cfg.gru_hidden)
         assert cfg.time_patches == (cfg.spec_frames - 16) // 8 + 1
         assert cfg.channel_groups == widths[-1] // 15

@@ -46,6 +46,17 @@ def synthetic_batch(cfg, rng, n=4):
     return batch
 
 
+def traced_peak(call) -> int:
+    """Bytes `call()` allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestAdam:
     def test_zero_learning_rate_keeps_parameters(self, rng):
         p = Tensor(rng.standard_normal(5).astype(np.float32), name="p")
@@ -119,13 +130,7 @@ class TestTrainStep:
         def step_peak(examples):
             state = TrainState.create(cfg)
             train_step(examples, state)  # first-call imports and caches
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                train_step(examples, state)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: train_step(examples, state))
 
         single, pair = step_peak(batch[:1]), step_peak(batch)
         assert pair <= single * 1.02, (single, pair)
@@ -242,6 +247,7 @@ class TestCheckpointArchive:
 
     @pytest.mark.parametrize("key, value", [
         ("step", "x"), ("epoch", 1.5), ("optimizer_steps", "3"), ("step", None),
+        ("step", -1), ("epoch", -1), ("optimizer_steps", -1),
     ])
     def test_non_integer_counter_code(self, tmp_path, key, value):
         path = tmp_path / "t.wlann"
@@ -303,6 +309,54 @@ class TestCheckpointArchive:
         save_archive(path, "checkpoint", cfg.to_dict(), tensors)
         with pytest.warns(UserWarning, match="future.feature"):
             restore_parameters(load_archive(path), params.named())
+
+    @staticmethod
+    def few_mb_table(rng) -> dict[str, np.ndarray]:
+        """Four float32 tensors, 4 MiB of payload."""
+        return {f"t{i}": rng.standard_normal((512, 512)).astype(np.float32) for i in range(4)}
+
+    def test_archive_tensors_are_read_only_views(self, tmp_path, rng):
+        path = tmp_path / "t.wlann"
+        save_archive(path, "checkpoint", {}, self.few_mb_table(rng))
+        for value in load_archive(path).tensors.values():
+            assert not value.flags.writeable
+            assert not value.flags.owndata
+
+    def test_restore_copies_into_the_arrays_the_state_owns(self, tmp_path):
+        path = tmp_path / "t.wlann"
+        save_checkpoint(path, TrainState.create(small_train_config(seed=3)))
+        archive = load_archive(path)
+        state = TrainState.create(small_train_config(seed=4))
+        named = {**state.params.named(), **state.optimizer.moments()}
+        owned = {name: tensor.data for name, tensor in named.items()}
+        restore_parameters(archive, named)
+        for name, tensor in named.items():
+            assert tensor.data is owned[name]
+            assert tensor.data.flags.writeable
+            assert not np.shares_memory(tensor.data, archive.tensors[name])
+            np.testing.assert_array_equal(tensor.data, archive.tensors[name])
+
+    def test_save_archive_streams_tensors_to_the_file(self, tmp_path, rng):
+        tensors = self.few_mb_table(rng)
+        payload = sum(value.nbytes for value in tensors.values())
+        peak = traced_peak(lambda: save_archive(tmp_path / "t.wlann", "checkpoint", {}, tensors))
+        assert peak < 0.1 * payload, (peak, payload)
+
+    def test_load_archive_peaks_at_the_file_size(self, tmp_path, rng):
+        path = tmp_path / "t.wlann"
+        save_archive(path, "checkpoint", {}, self.few_mb_table(rng))
+        peak = traced_peak(lambda: load_archive(path))
+        assert peak <= path.stat().st_size + 64 * 1024, (peak, path.stat().st_size)
+
+    def test_float64_state_writes_its_float32_cast(self, tmp_path):
+        cfg = small_train_config(dtype="float64")
+        state = TrainState.create(cfg)
+        train_step(synthetic_batch(cfg, np.random.default_rng(2), n=2), state)
+        save_checkpoint(tmp_path / "wide.wlann", state)
+        for tensor in [*state.params.tensors(), *state.optimizer.m, *state.optimizer.v]:
+            tensor.data = tensor.data.astype(np.float32)
+        save_checkpoint(tmp_path / "narrow.wlann", state)
+        assert (tmp_path / "wide.wlann").read_bytes() == (tmp_path / "narrow.wlann").read_bytes()
 
 
 class TestStateRoundTrip:

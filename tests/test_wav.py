@@ -8,17 +8,9 @@ import pytest
 from wlann.dataio import AudioClip, load_wav, write_wav
 from wlann.errors import FormatError, ValidationError
 
+from conftest import raw_wav_bytes
+
 PCM16_LSB = 1.0 / 32768.0
-
-
-def raw_wav_bytes(payload: bytes, channels=1, rate=8000, bits=16, audio_format=1) -> bytes:
-    """Independent minimal WAV writer so loader tests don't trust write_wav."""
-    block_align = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", audio_format, channels, rate, rate * block_align,
-                      block_align, bits)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(payload)) + payload
-    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 class TestLoadWav:
@@ -77,6 +69,15 @@ class TestLoadWav:
         path = tmp_path / "trunc.wav"
         path.write_bytes(good[:-8])
         with pytest.raises(FormatError):
+            load_wav(path)
+
+    @pytest.mark.parametrize("payload, bits, audio_format", [
+        (b"\x00" * 7, 16, 1), (b"\x00" * 10, 32, 3),
+    ], ids=["pcm16_odd_bytes", "float32_partial_sample"])
+    def test_partial_sample_rejected(self, tmp_path, payload, bits, audio_format):
+        path = tmp_path / "partial.wav"
+        path.write_bytes(raw_wav_bytes(payload, bits=bits, audio_format=audio_format))
+        with pytest.raises(FormatError, match=f"partial.wav.*{len(payload)} bytes"):
             load_wav(path)
 
     def test_unsupported_bit_depth_rejected(self, tmp_path):
