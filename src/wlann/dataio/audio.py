@@ -116,9 +116,10 @@ def load_wav(path: str | Path) -> AudioClip:
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "
             "expected 16-bit PCM or 32-bit float"
         )
-    if len(data) % (bits // 8):
+    if len(data) % (channels * bits // 8):
         raise FormatError(
-            f"{path}: data chunk of {len(data)} bytes is not a whole number of {bits}-bit samples"
+            f"{path}: data chunk of {len(data)} bytes is not a whole number of "
+            f"{channels}-channel {bits}-bit frames"
         )
     values = np.frombuffer(data, dtype=sample_type).astype(np.float64) / scale
     if values.size == 0:
@@ -126,7 +127,7 @@ def load_wav(path: str | Path) -> AudioClip:
     if channels > 1:
         warnings.warn(f"{path}: {channels}-channel WAV, keeping channel 0", stacklevel=2)
         values = values[::channels].copy()
-    peak = np.max(np.abs(values)) if values.size else 0.0
+    peak = np.max(np.abs(values))
     if peak > 1.0:
         warnings.warn(f"{path}: samples exceed full scale (peak {peak:.4f}), clipping", stacklevel=2)
         values = np.clip(values, -1.0, 1.0)

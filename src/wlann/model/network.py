@@ -24,7 +24,7 @@ from ..errors import ShapeError
 from ..ndiff import functional as F
 from ..ndiff.attention import TransformerBlockParams, transformer_block, transformer_block_vjp
 from ..ndiff.gru import GruCellParams, bigru, bigru_vjp
-from ..ndiff.tensor import ParamGroup, Tensor, truncated_normal
+from ..ndiff.tensor import ParamGroup, Tensor, init, truncated_normal
 from .config import WlannConfig
 
 
@@ -32,19 +32,18 @@ from .config import WlannConfig
 class ConvLayerParams(ParamGroup):
     """One convolution layer with its channel layer-norm."""
 
-    w: Tensor
-    b: Tensor
-    ln_gain: Tensor
-    ln_shift: Tensor
+    w: Tensor = init(truncated_normal)
+    b: Tensor = init(0.0)
+    ln_gain: Tensor = init(1.0)
+    ln_shift: Tensor = init(0.0)
 
     @classmethod
-    def create(cls, c_in: int, c_out: int, kernel: int, std: float, rng, prefix: str):
-        return cls(
-            w=Tensor(truncated_normal(rng, (c_out, c_in, kernel), std), name=f"{prefix}.w"),
-            b=Tensor(np.zeros(c_out), name=f"{prefix}.b"),
-            ln_gain=Tensor(np.ones(c_out), name=f"{prefix}.ln.gain"),
-            ln_shift=Tensor(np.zeros(c_out), name=f"{prefix}.ln.shift"),
-        )
+    def allocate(cls, c_in: int, c_out: int, kernel: int, prefix: str, dtype):
+        def empty(shape, tag):
+            return Tensor(np.empty(shape, dtype), name=f"{prefix}.{tag}")
+
+        return cls(w=empty((c_out, c_in, kernel), "w"), b=empty(c_out, "b"),
+                   ln_gain=empty(c_out, "ln.gain"), ln_shift=empty(c_out, "ln.shift"))
 
 
 @dataclass
@@ -52,51 +51,47 @@ class WlannParams(ParamGroup):
     """Every trainable tensor of the model, with stable unique names."""
 
     conv_layers: list[ConvLayerParams]
-    patch_w: Tensor
-    patch_b: Tensor
-    pos_embed: Tensor
+    patch_w: Tensor = init(truncated_normal)
+    patch_b: Tensor = init(0.0)
+    pos_embed: Tensor = init(truncated_normal)
     blocks: list[TransformerBlockParams]
-    final_ln_gain: Tensor
-    final_ln_shift: Tensor
+    final_ln_gain: Tensor = init(1.0)
+    final_ln_shift: Tensor = init(0.0)
     gru_fwd: GruCellParams
     gru_bwd: GruCellParams
-    out_w: Tensor
-    out_b: Tensor
+    out_w: Tensor = init(truncated_normal)
+    out_b: Tensor = init(0.0)
+
+    @classmethod
+    def allocate(cls, cfg: WlannConfig) -> "WlannParams":
+        """The tree in the config dtype, uninitialized: `create` draws into it, a load restores it."""
+        dtype, dim, hidden = cfg.numpy_dtype, cfg.ast.embed_dim, cfg.gru_hidden
+        widths = (1, *cfg.cnn.channel_widths)
+
+        def empty(shape, name):
+            return Tensor(np.empty(shape, dtype), name=name)
+
+        return cls(
+            conv_layers=[ConvLayerParams.allocate(c_in, c_out, cfg.cnn.kernel, f"cnn.{i}", dtype)
+                         for i, (c_in, c_out) in enumerate(zip(widths, widths[1:]))],
+            patch_w=empty((dim, cfg.ast.patch_size**2), "ast.embed.w"),
+            patch_b=empty(dim, "ast.embed.b"),
+            pos_embed=empty((cfg.num_patches, dim), "ast.pos"),
+            blocks=[TransformerBlockParams.allocate(dim, cfg.ast.heads, f"ast.block.{i}", dtype)
+                    for i in range(cfg.ast.depth)],
+            final_ln_gain=empty(dim, "ast.final_ln.gain"),
+            final_ln_shift=empty(dim, "ast.final_ln.shift"),
+            gru_fwd=GruCellParams.allocate(cfg.fused_channels, hidden, "gru.fwd", dtype),
+            gru_bwd=GruCellParams.allocate(cfg.fused_channels, hidden, "gru.bwd", dtype),
+            out_w=empty((cfg.num_classes, 2 * hidden), "head.w"),
+            out_b=empty(cfg.num_classes, "head.b"),
+        )
 
     @classmethod
     def create(cls, cfg: WlannConfig, rng: np.random.Generator | None = None) -> "WlannParams":
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1A17]))
-        std = cfg.init_std
-        layers = []
-        c_in = 1
-        for i, c_out in enumerate(cfg.cnn.channel_widths):
-            layers.append(
-                ConvLayerParams.create(c_in, c_out, cfg.cnn.kernel, std, rng, prefix=f"cnn.{i}")
-            )
-            c_in = c_out
-        patch_dim = cfg.ast.patch_size * cfg.ast.patch_size
-        params = cls(
-            conv_layers=layers,
-            patch_w=Tensor(truncated_normal(rng, (cfg.ast.embed_dim, patch_dim), std), name="ast.embed.w"),
-            patch_b=Tensor(np.zeros(cfg.ast.embed_dim), name="ast.embed.b"),
-            pos_embed=Tensor(
-                truncated_normal(rng, (cfg.num_patches, cfg.ast.embed_dim), std), name="ast.pos"
-            ),
-            blocks=[
-                TransformerBlockParams.create(cfg.ast.embed_dim, cfg.ast.heads, std, rng, f"ast.block.{i}")
-                for i in range(cfg.ast.depth)
-            ],
-            final_ln_gain=Tensor(np.ones(cfg.ast.embed_dim), name="ast.final_ln.gain"),
-            final_ln_shift=Tensor(np.zeros(cfg.ast.embed_dim), name="ast.final_ln.shift"),
-            gru_fwd=GruCellParams.create(cfg.fused_channels, cfg.gru_hidden, rng, prefix="gru.fwd"),
-            gru_bwd=GruCellParams.create(cfg.fused_channels, cfg.gru_hidden, rng, prefix="gru.bwd"),
-            out_w=Tensor(truncated_normal(rng, (cfg.num_classes, 2 * cfg.gru_hidden), std), name="head.w"),
-            out_b=Tensor(np.zeros(cfg.num_classes), name="head.b"),
-        )
-        for tensor in params.tensors():
-            tensor.data = tensor.data.astype(cfg.numpy_dtype)
-        return params
+        return cls.allocate(cfg).initialize(rng, cfg.init_std)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .gru import (
     gru_sequence,
     gru_sequence_vjp,
 )
-from .tensor import ParamGroup, Tensor, scaled_normal, truncated_normal
+from .tensor import ParamGroup, Tensor
 
 __all__ = [
     "AttentionParams",
@@ -37,8 +37,6 @@ __all__ = [
     "gru_sequence_vjp",
     "multi_head_self_attention",
     "multi_head_self_attention_vjp",
-    "scaled_normal",
     "transformer_block",
     "transformer_block_vjp",
-    "truncated_normal",
 ]

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 from . import functional as F
-from .tensor import ParamGroup, Tensor, truncated_normal
+from .tensor import ParamGroup, Tensor, init, truncated_normal
 
 FF_EXPANSION = 4
 
@@ -18,32 +18,29 @@ FF_EXPANSION = 4
 class AttentionParams(ParamGroup):
     """Query/key/value/output projections for one attention layer."""
 
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
+    wq: Tensor = init(truncated_normal)
+    bq: Tensor = init(0.0)
+    wk: Tensor = init(truncated_normal)
+    bk: Tensor = init(0.0)
+    wv: Tensor = init(truncated_normal)
+    bv: Tensor = init(0.0)
+    wo: Tensor = init(truncated_normal)
+    bo: Tensor = init(0.0)
     heads: int
 
     @classmethod
-    def create(cls, dim: int, heads: int, std: float, rng: np.random.Generator, prefix: str = "attn"):
+    def allocate(cls, dim: int, heads: int, prefix: str = "attn", dtype=np.float64):
         if dim % heads != 0:
             raise ConfigError(f"embedding dim {dim} not divisible by {heads} heads")
 
-        def weight(tag):
-            return Tensor(truncated_normal(rng, (dim, dim), std), name=f"{prefix}.{tag}.w")
-
-        def bias(tag):
-            return Tensor(np.zeros(dim), name=f"{prefix}.{tag}.b")
+        def empty(shape, tag):
+            return Tensor(np.empty(shape, dtype), name=f"{prefix}.{tag}")
 
         return cls(
-            wq=weight("q"), bq=bias("q"),
-            wk=weight("k"), bk=bias("k"),
-            wv=weight("v"), bv=bias("v"),
-            wo=weight("out"), bo=bias("out"),
+            wq=empty((dim, dim), "q.w"), bq=empty(dim, "q.b"),
+            wk=empty((dim, dim), "k.w"), bk=empty(dim, "k.b"),
+            wv=empty((dim, dim), "v.w"), bv=empty(dim, "v.b"),
+            wo=empty((dim, dim), "out.w"), bo=empty(dim, "out.b"),
             heads=heads,
         )
 
@@ -98,29 +95,29 @@ def multi_head_self_attention_vjp(dy: np.ndarray, cache):
 class TransformerBlockParams(ParamGroup):
     """Pre-norm block: LN -> attention -> residual, LN -> MLP -> residual."""
 
-    ln1_gain: Tensor
-    ln1_shift: Tensor
+    ln1_gain: Tensor = init(1.0)
+    ln1_shift: Tensor = init(0.0)
     attn: AttentionParams
-    ln2_gain: Tensor
-    ln2_shift: Tensor
-    ff1_w: Tensor
-    ff1_b: Tensor
-    ff2_w: Tensor
-    ff2_b: Tensor
+    ln2_gain: Tensor = init(1.0)
+    ln2_shift: Tensor = init(0.0)
+    ff1_w: Tensor = init(truncated_normal)
+    ff1_b: Tensor = init(0.0)
+    ff2_w: Tensor = init(truncated_normal)
+    ff2_b: Tensor = init(0.0)
 
     @classmethod
-    def create(cls, dim: int, heads: int, std: float, rng: np.random.Generator, prefix: str = "block"):
+    def allocate(cls, dim: int, heads: int, prefix: str = "block", dtype=np.float64):
         hidden = FF_EXPANSION * dim
+
+        def empty(shape, tag):
+            return Tensor(np.empty(shape, dtype), name=f"{prefix}.{tag}")
+
         return cls(
-            ln1_gain=Tensor(np.ones(dim), name=f"{prefix}.ln1.gain"),
-            ln1_shift=Tensor(np.zeros(dim), name=f"{prefix}.ln1.shift"),
-            attn=AttentionParams.create(dim, heads, std, rng, prefix=f"{prefix}.attn"),
-            ln2_gain=Tensor(np.ones(dim), name=f"{prefix}.ln2.gain"),
-            ln2_shift=Tensor(np.zeros(dim), name=f"{prefix}.ln2.shift"),
-            ff1_w=Tensor(truncated_normal(rng, (hidden, dim), std), name=f"{prefix}.ff1.w"),
-            ff1_b=Tensor(np.zeros(hidden), name=f"{prefix}.ff1.b"),
-            ff2_w=Tensor(truncated_normal(rng, (dim, hidden), std), name=f"{prefix}.ff2.w"),
-            ff2_b=Tensor(np.zeros(dim), name=f"{prefix}.ff2.b"),
+            ln1_gain=empty(dim, "ln1.gain"), ln1_shift=empty(dim, "ln1.shift"),
+            attn=AttentionParams.allocate(dim, heads, f"{prefix}.attn", dtype),
+            ln2_gain=empty(dim, "ln2.gain"), ln2_shift=empty(dim, "ln2.shift"),
+            ff1_w=empty((hidden, dim), "ff1.w"), ff1_b=empty(hidden, "ff1.b"),
+            ff2_w=empty((dim, hidden), "ff2.w"), ff2_b=empty(dim, "ff2.b"),
         )
 
 

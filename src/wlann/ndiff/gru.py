@@ -19,38 +19,33 @@ import numpy as np
 
 from ..errors import ShapeError, ValidationError
 from . import functional as F
-from .tensor import ParamGroup, Tensor, scaled_normal
+from .tensor import ParamGroup, Tensor, fan_in_normal, init
 
 
 @dataclass
 class GruCellParams(ParamGroup):
     """Six weight matrices and three bias vectors of one GRU cell."""
 
-    wz: Tensor
-    uz: Tensor
-    bz: Tensor
-    wr: Tensor
-    ur: Tensor
-    br: Tensor
-    wh: Tensor
-    uh: Tensor
-    bh: Tensor
+    wz: Tensor = init(fan_in_normal)
+    uz: Tensor = init(fan_in_normal)
+    bz: Tensor = init(0.0)
+    wr: Tensor = init(fan_in_normal)
+    ur: Tensor = init(fan_in_normal)
+    br: Tensor = init(0.0)
+    wh: Tensor = init(fan_in_normal)
+    uh: Tensor = init(fan_in_normal)
+    bh: Tensor = init(0.0)
 
     @classmethod
-    def create(cls, input_size: int, hidden_size: int, rng: np.random.Generator, prefix: str = "gru"):
-        def in_weight(tag):
-            return Tensor(scaled_normal(rng, (hidden_size, input_size), input_size), name=f"{prefix}.w{tag}")
+    def allocate(cls, input_size: int, hidden_size: int, prefix: str = "gru", dtype=np.float64):
+        def empty(shape, tag):
+            return Tensor(np.empty(shape, dtype), name=f"{prefix}.{tag}")
 
-        def hid_weight(tag):
-            return Tensor(scaled_normal(rng, (hidden_size, hidden_size), hidden_size), name=f"{prefix}.u{tag}")
-
-        def bias(tag):
-            return Tensor(np.zeros(hidden_size), name=f"{prefix}.b{tag}")
-
+        w, u = (hidden_size, input_size), (hidden_size, hidden_size)
         return cls(
-            wz=in_weight("z"), uz=hid_weight("z"), bz=bias("z"),
-            wr=in_weight("r"), ur=hid_weight("r"), br=bias("r"),
-            wh=in_weight("h"), uh=hid_weight("h"), bh=bias("h"),
+            wz=empty(w, "wz"), uz=empty(u, "uz"), bz=empty(hidden_size, "bz"),
+            wr=empty(w, "wr"), ur=empty(u, "ur"), br=empty(hidden_size, "br"),
+            wh=empty(w, "wh"), uh=empty(u, "uh"), bh=empty(hidden_size, "bh"),
         )
 
     @property

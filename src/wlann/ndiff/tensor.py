@@ -6,13 +6,14 @@ embeddings). Each operation's backward pass accumulates parameter
 gradients into `Tensor.grad` and returns input gradients directly, so
 there is no graph or tape: the composition order is written out by hand
 wherever operations are chained. A dataclass of parameters inherits
-`ParamGroup`, which walks its fields in declaration order.
+`ParamGroup`, which walks its fields in declaration order; each `Tensor`
+field declares its initializer with `init(rule)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Iterator
+from dataclasses import field, fields
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,10 +37,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
@@ -68,12 +65,19 @@ class ParamGroup:
 
     A `Tensor` field is yielded, a nested group is walked, a list is walked
     item by item, and any other field (a head count) is skipped. That order
-    is Adam's update order and the checkpoint's tensor order.
+    is Adam's update order, the checkpoint's tensor order and the order of
+    the random draws in `initialize`.
     """
 
     def tensors(self) -> Iterator[Tensor]:
-        for f in fields(self):
-            yield from _walk(getattr(self, f.name))
+        return (tensor for tensor, _ in self._leaves())
+
+    def initialize(self, rng: np.random.Generator, std: float):
+        """Fill every tensor from its field's rule, drawing in float64 and
+        casting once to the tensor's dtype; returns the group."""
+        for tensor, rule in self._leaves():
+            np.copyto(tensor.data, rule(rng, tensor.shape, std) if callable(rule) else rule)
+        return self
 
     def named(self) -> dict[str, Tensor]:
         table = {}
@@ -87,22 +91,26 @@ class ParamGroup:
         for tensor in self.tensors():
             tensor.zero_grad()
 
-
-def _walk(value) -> Iterator[Tensor]:
-    if isinstance(value, Tensor):
-        yield value
-    elif isinstance(value, ParamGroup):
-        yield from value.tensors()
-    elif isinstance(value, list):
-        for item in value:
-            yield from _walk(item)
+    def _leaves(self) -> Iterator[tuple[Tensor, float | Callable]]:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Tensor):
+                    yield item, f.metadata.get("init")
+                elif isinstance(item, ParamGroup):
+                    yield from item._leaves()
 
 
 def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
-    """Normal draws clipped at two standard deviations."""
+    """Normal draws at `std`, clipped at two standard deviations."""
     return np.clip(rng.standard_normal(shape) * std, -2.0 * std, 2.0 * std)
 
 
-def scaled_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """Plain normal draws scaled by 1/sqrt(fan_in)."""
-    return rng.standard_normal(shape) / np.sqrt(max(1, fan_in))
+def fan_in_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
+    """Plain normal draws scaled by 1/sqrt(fan_in), with fan-in `shape[1]`."""
+    return rng.standard_normal(shape) / np.sqrt(max(1, shape[1]))
+
+
+def init(rule: float | Callable):
+    """Declare a `Tensor` field's initializer: a constant, or `rule(rng, shape, std)`."""
+    return field(metadata={"init": rule})

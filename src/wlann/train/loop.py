@@ -184,7 +184,7 @@ def load_checkpoint(path: str | Path) -> tuple[WlannConfig, WlannParams, Archive
     """Load a checkpoint for inference: config, restored parameters and the tensor-free header."""
     archive = load_archive(path)
     cfg = WlannConfig.from_dict(archive.config)
-    params = WlannParams.create(cfg)
+    params = WlannParams.allocate(cfg)
     restore_parameters(archive, params.named())
     return cfg, params, Archive(archive.kind, archive.config, archive.metadata)
 
@@ -200,9 +200,9 @@ def load_train_state(path: str | Path) -> TrainState:
                 f"{path}: metadata {key!r} must be a non-negative integer, got {value!r}",
             )
     cfg = WlannConfig.from_dict(archive.config)
-    state = TrainState.create(cfg)
+    params = WlannParams.allocate(cfg)
+    optimizer = Adam(list(params.tensors()), cfg.optimizer)
+    state = TrainState(cfg, params, optimizer, step=counters["step"], epoch=counters["epoch"])
     restore_parameters(archive, _state_tensors(state))
-    state.step = counters["step"]
-    state.epoch = counters["epoch"]
-    state.optimizer.step_count = counters["optimizer_steps"]
+    optimizer.step_count = counters["optimizer_steps"]
     return state

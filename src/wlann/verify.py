@@ -138,18 +138,18 @@ def run_gradient_suite(seed: int = 0, e2e_samples: int = 6) -> list[tuple[str, G
                                          F.adaptive_mean_pool_vjp, (7, 3), args=(3,))),
         ("multi_head_self_attention", _op_check(
             rng, "mhsa", mhsa, mhsa_vjp, (3, 4),
-            groups=[AttentionParams.create(4, 2, 0.02, rng, prefix="mhsa")])),
+            groups=[AttentionParams.allocate(4, 2, prefix="mhsa").initialize(rng, 0.02)])),
         ("transformer_block", _op_check(
             rng, "block", transformer_block, transformer_block_vjp, (3, 4),
-            groups=[TransformerBlockParams.create(4, 2, 0.02, rng, prefix="block")])),
+            groups=[TransformerBlockParams.allocate(4, 2, prefix="block").initialize(rng, 0.02)])),
         # Four steps, so the gradient carried back through the hidden state is probed.
         ("gru_sequence", _op_check(
             rng, "gruseq", gru_sequence, gru_sequence_vjp, (4, 3),
-            groups=[GruCellParams.create(3, 3, rng, prefix="gruseq")])),
+            groups=[GruCellParams.allocate(3, 3, prefix="gruseq").initialize(rng, 0.02)])),
         ("bigru", _op_check(
             rng, "bigru", bigru, bigru_vjp, (5, 3),
-            groups=[GruCellParams.create(3, 2, rng, prefix="bigru.fwd"),
-                    GruCellParams.create(3, 2, rng, prefix="bigru.bwd")])),
+            groups=[GruCellParams.allocate(3, 2, prefix="bigru.fwd").initialize(rng, 0.02),
+                    GruCellParams.allocate(3, 2, prefix="bigru.bwd").initialize(rng, 0.02)])),
         ("focal_loss", _check_focal_loss(rng)),
         ("end_to_end_micro_model", _check_end_to_end(rng, samples_per_tensor=e2e_samples)),
     ]

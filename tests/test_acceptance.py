@@ -126,10 +126,8 @@ def float32_cases(rng) -> dict:
     def param(*shape):
         return Tensor(values(*shape))
 
-    def float32(params):
-        for tensor in params.tensors():
-            tensor.data = tensor.data.astype(np.float32)
-        return params
+    def group(cls, *sizes):
+        return cls.allocate(*sizes, dtype=np.float32).initialize(rng, 0.02)
 
     return {
         "conv1d": (values(2, 11), param(3, 2, 4), param(3), 2),
@@ -140,14 +138,10 @@ def float32_cases(rng) -> dict:
         "layer_norm": (values(6, 5), param(5), param(5)),
         "mean_pool": (values(3, 4, 5), 1),
         "adaptive_mean_pool": (values(7, 3), 3),
-        "multi_head_self_attention": (values(3, 4), float32(attention.AttentionParams.create(4, 2, 0.02, rng))),
-        "transformer_block": (values(3, 4), float32(attention.TransformerBlockParams.create(4, 2, 0.02, rng))),
-        "gru_sequence": (values(4, 3), float32(gru.GruCellParams.create(3, 3, rng))),
-        "bigru": (
-            values(5, 3),
-            float32(gru.GruCellParams.create(3, 2, rng)),
-            float32(gru.GruCellParams.create(3, 2, rng)),
-        ),
+        "multi_head_self_attention": (values(3, 4), group(attention.AttentionParams, 4, 2)),
+        "transformer_block": (values(3, 4), group(attention.TransformerBlockParams, 4, 2)),
+        "gru_sequence": (values(4, 3), group(gru.GruCellParams, 3, 3)),
+        "bigru": (values(5, 3), group(gru.GruCellParams, 3, 2), group(gru.GruCellParams, 3, 2)),
     }
 
 

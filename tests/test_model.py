@@ -1,6 +1,7 @@
 """Network geometry, preprocessing pipeline, and structural identities."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -73,6 +74,22 @@ class TestDefaultGeometry:
             data = named[name].data
             assert 0.2 < data.std() < 0.25, name
             assert np.abs(data).max() <= 2 * 0.25 * (1 + 1e-6), name
+
+
+class TestInitialization:
+    @pytest.mark.parametrize("dtype, digest", [
+        ("float32", "a0e66153f1b316e3745b49ae7571dc69f3fdf3c135cff67881f543432f475133"),
+        ("float64", "a99ee722e01ad28a7bd146642c6dc142399274f54a94aaff54970630e5b1f22e"),
+    ], ids=["float32", "float64"])
+    def test_random_init_is_pinned(self, dtype, digest):
+        """SHA-256 over each parameter's name and bytes. The draws follow field
+        declaration order, so reordering one field would re-seed every model."""
+        sha = hashlib.sha256()
+        for tensor in WlannParams.create(small_train_config(dtype=dtype)).tensors():
+            assert tensor.dtype == np.dtype(dtype)
+            sha.update(tensor.name.encode())
+            sha.update(tensor.data.tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestConfigValidation:

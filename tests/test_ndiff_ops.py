@@ -316,7 +316,7 @@ class TestPooling:
 
 class TestAttention:
     def test_single_token_attention_weight_is_one(self, rng):
-        params = AttentionParams.create(6, 2, 0.02, rng)
+        params = AttentionParams.allocate(6, 2).initialize(rng, 0.02)
         x = rng.standard_normal((1, 6))
         y, cache = multi_head_self_attention(x, params)
         # softmax over a single key must be exactly 1
@@ -328,7 +328,7 @@ class TestAttention:
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
-        params = AttentionParams.create(8, 4, 0.02, rng)
+        params = AttentionParams.allocate(8, 4).initialize(rng, 0.02)
         _, cache = multi_head_self_attention(rng.standard_normal((5, 8)), params)
         attn = cache[8]
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -336,7 +336,7 @@ class TestAttention:
 
     def test_single_head_matches_explicit_formula(self, rng):
         """N=3, D=4, one head: independent composition of the textbook formula."""
-        params = AttentionParams.create(4, 1, 0.02, rng)
+        params = AttentionParams.allocate(4, 1).initialize(rng, 0.02)
         x = rng.standard_normal((3, 4))
         y, _ = multi_head_self_attention(x, params)
 
@@ -351,12 +351,12 @@ class TestAttention:
 
     def test_indivisible_heads_rejected(self, rng):
         with pytest.raises(Exception):
-            AttentionParams.create(6, 4, 0.02, rng)
+            AttentionParams.allocate(6, 4)
 
 
 class TestTransformerBlock:
     def test_zero_everything_maps_zero_to_zero(self, rng):
-        params = TransformerBlockParams.create(4, 2, 0.02, rng)
+        params = TransformerBlockParams.allocate(4, 2).initialize(rng, 0.02)
         for t in params.tensors():
             t.data = np.zeros_like(t.data)
         y, _ = transformer_block(np.zeros((3, 4)), params)
@@ -364,7 +364,7 @@ class TestTransformerBlock:
 
     def test_shape_preserved(self, rng):
         for n, d in ((1, 4), (7, 8), (12, 16)):
-            params = TransformerBlockParams.create(d, 2, 0.02, rng)
+            params = TransformerBlockParams.allocate(d, 2).initialize(rng, 0.02)
             y, _ = transformer_block(rng.standard_normal((n, d)), params)
             assert y.shape == (n, d)
 
@@ -437,7 +437,8 @@ class TestGru:
     def test_bigru_bitwise_equal_to_order_permuted_scan(self, rng, dtype, steps, width, hidden):
         """Reversing the sequence runs the same multiplies and sums, in the same
         order, as scanning it through a reversed step permutation."""
-        cells = [GruCellParams.create(width, hidden, rng, prefix=tag) for tag in ("f", "b")]
+        cells = [GruCellParams.allocate(width, hidden, prefix=tag).initialize(rng, 0.02)
+                 for tag in ("f", "b")]
         for t in (t for cell in cells for t in cell.tensors()):
             t.data = (rng.standard_normal(t.shape) * 0.5).astype(dtype)
         refs = [GruCellParams(*(Tensor(t.data.copy(), name=t.name) for t in cell.tensors()))
@@ -461,7 +462,7 @@ class TestGru:
 
     def test_update_gate_forced_closed_carries_state(self, rng):
         """Large negative update-gate bias carries the zero initial state through."""
-        params = GruCellParams.create(3, 4, rng)
+        params = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
         params.bz.data = np.full(4, -50.0)
         out, _ = gru_sequence(rng.standard_normal((5, 3)), params)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
@@ -470,12 +471,12 @@ class TestGru:
     @given(seed=st.integers(0, 10_000))
     def test_hidden_state_stays_in_unit_box(self, seed):
         local = np.random.default_rng(seed)
-        params = GruCellParams.create(3, 5, local)
+        params = GruCellParams.allocate(3, 5).initialize(local, 0.02)
         out, _ = gru_sequence(local.standard_normal((20, 3)) * 3, params)
         assert np.all(np.abs(out) <= 1.0)
 
     def test_sequence_matches_cell_scan(self, rng):
-        params = GruCellParams.create(3, 4, rng)
+        params = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
         xs = rng.standard_normal((6, 3))
         out, _ = gru_sequence(xs, params)
         h = np.zeros(4)
@@ -484,14 +485,14 @@ class TestGru:
             np.testing.assert_allclose(out[t], h, atol=1e-12)
 
     def test_bigru_shape(self, rng):
-        fwd = GruCellParams.create(3, 5, rng)
-        bwd = GruCellParams.create(3, 5, rng)
+        fwd = GruCellParams.allocate(3, 5).initialize(rng, 0.02)
+        bwd = GruCellParams.allocate(3, 5).initialize(rng, 0.02)
         out, _ = bigru(rng.standard_normal((9, 3)), fwd, bwd)
         assert out.shape == (9, 10)
 
     def test_bigru_single_step_equals_both_cells(self, rng):
-        fwd = GruCellParams.create(3, 4, rng)
-        bwd = GruCellParams.create(3, 4, rng)
+        fwd = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
+        bwd = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
         x = rng.standard_normal((1, 3))
         out, _ = bigru(x, fwd, bwd)
         hf = gru_step(x[0], np.zeros(4), fwd)
@@ -500,8 +501,8 @@ class TestGru:
 
     def test_bigru_reversal_swaps_directions(self, rng):
         """bigru(reverse(x); A, B) = time-reversed bigru(x; B, A) with halves swapped."""
-        a = GruCellParams.create(3, 4, rng)
-        b = GruCellParams.create(3, 4, rng)
+        a = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
+        b = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
         xs = rng.standard_normal((7, 3))
         fwd_run, _ = bigru(xs[::-1].copy(), a, b)
         swapped, _ = bigru(xs, b, a)
@@ -509,13 +510,13 @@ class TestGru:
         np.testing.assert_allclose(fwd_run, expected, atol=1e-12)
 
     def test_empty_sequence_rejected(self, rng):
-        fwd = GruCellParams.create(3, 4, rng)
-        bwd = GruCellParams.create(3, 4, rng)
+        fwd = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
+        bwd = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
         with pytest.raises(ValidationError):
             bigru(np.zeros((0, 3)), fwd, bwd)
 
     def test_shape_mismatch_rejected(self, rng):
-        params = GruCellParams.create(3, 4, rng)
+        params = GruCellParams.allocate(3, 4).initialize(rng, 0.02)
         with pytest.raises(ShapeError):
             gru_sequence(np.zeros((6, 5)), params)
         with pytest.raises(ShapeError):

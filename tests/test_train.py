@@ -13,8 +13,8 @@ import pytest
 from wlann.dataio import AudioClip
 from wlann.errors import CheckpointError, NumericError, StorageError
 from wlann.model import WlannParams, backward, forward, prepare_input
-from wlann.model.config import OptimizerConfig, WlannConfig
-from wlann.ndiff import Tensor
+from wlann.model.config import AstBranchConfig, CnnBranchConfig, OptimizerConfig, WlannConfig
+from wlann.ndiff import ParamGroup, Tensor
 from wlann.train import (
     Adam,
     PreparedExample,
@@ -450,6 +450,41 @@ class TestStateRoundTrip:
         assert header.tensors == {}
         assert (header.kind, header.config, header.metadata) == (full.kind, full.config, full.metadata)
         assert header.metadata["initializer"].startswith("truncated-normal(0.05) linear")
+
+    def test_loads_draw_nothing_and_restore_every_tensor(self, tmp_path, monkeypatch):
+        path = self.trained_checkpoint(tmp_path)
+        saved = {name: value.copy() for name, value in load_archive(path).tensors.items()}
+
+        def no_draw(self, rng, std):
+            raise AssertionError("a load drew initial values")
+
+        monkeypatch.setattr(ParamGroup, "initialize", no_draw)
+        _, params, _ = load_checkpoint(path)
+        resumed = load_train_state(path)
+        restored = [params.named(), {**resumed.params.named(), **resumed.optimizer.moments()}]
+        assert list(restored[1]) == list(saved)
+        for named in restored:
+            for name, tensor in named.items():
+                assert tensor.data.dtype == np.float32
+                assert tensor.data.tobytes() == saved[name].tobytes(), name
+
+    def test_load_checkpoint_peaks_at_file_plus_parameters(self, tmp_path):
+        """At the 1 s separation geometry: the bytes read plus the parameters they fill."""
+        cfg = WlannConfig(
+            fixed_input_seconds=1.0,
+            cnn=CnnBranchConfig(kernel=80, initial_stride=5, block_strides=(4, 4, 4),
+                                channel_widths=(16, 32, 90, 90)),
+            ast=AstBranchConfig(embed_dim=32, depth=2, heads=4),
+            gru_hidden=128,
+        )
+        state = TrainState.create(cfg)
+        param_bytes = sum(tensor.data.nbytes for tensor in state.params.tensors())
+        path = tmp_path / "separation.wlann"
+        save_checkpoint(path, state)
+        del state
+        peak = traced_peak(lambda: load_checkpoint(path))
+        bound = path.stat().st_size + param_bytes + 2**20
+        assert peak <= bound, (peak, bound)
 
     def test_fit_epochs_zero_writes_initial_params(self, tmp_path, tiny_corpus):
         corpus, train_split, _, _ = tiny_corpus

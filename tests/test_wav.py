@@ -71,12 +71,14 @@ class TestLoadWav:
         with pytest.raises(FormatError):
             load_wav(path)
 
-    @pytest.mark.parametrize("payload, bits, audio_format", [
-        (b"\x00" * 7, 16, 1), (b"\x00" * 10, 32, 3),
-    ], ids=["pcm16_odd_bytes", "float32_partial_sample"])
-    def test_partial_sample_rejected(self, tmp_path, payload, bits, audio_format):
+    @pytest.mark.parametrize("payload, bits, audio_format, channels", [
+        (b"\x00" * 7, 16, 1, 1), (b"\x00" * 10, 32, 3, 1), (b"\x00" * 6, 16, 1, 2),
+    ], ids=["pcm16_odd_bytes", "float32_partial_sample", "pcm16_stereo_partial_frame"])
+    def test_partial_sample_rejected(self, tmp_path, payload, bits, audio_format, channels):
+        """A data chunk must hold whole frames: a stereo (L, R, L) chunk is malformed."""
         path = tmp_path / "partial.wav"
-        path.write_bytes(raw_wav_bytes(payload, bits=bits, audio_format=audio_format))
+        path.write_bytes(raw_wav_bytes(payload, channels=channels, bits=bits,
+                                       audio_format=audio_format))
         with pytest.raises(FormatError, match=f"partial.wav.*{len(payload)} bytes"):
             load_wav(path)
 
