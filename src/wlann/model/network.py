@@ -14,7 +14,9 @@ config's derived geometry:
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,14 +100,29 @@ class WlannParams(ParamGroup):
 # Waveform branch
 
 
-def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig):
-    """(1, L) -> (F, T_common, C_w / F) time-frequency grid."""
+def widest_layer(cfg: WlannConfig) -> int:
+    """Index of the conv layer with the largest im2col buffer, C_in * K rows by L_out columns."""
+    widths = (1, *cfg.cnn.channel_widths)
+    lengths = cfg.conv_lengths()[1:]
+    return max(range(len(lengths)), key=lambda i: widths[i] * lengths[i])
+
+
+def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
+                    after_widest: Callable[[], None] | None = None):
+    """(1, L) -> (F, T_common, C_w / F) time-frequency grid.
+
+    `after_widest`, if given, is called once the widest layer's convolution
+    has returned and its columns are freed.
+    """
     if waveform.shape != (1, cfg.fixed_samples):
         raise ShapeError(f"waveform must be (1, {cfg.fixed_samples}), got {waveform.shape}")
+    widest = widest_layer(cfg)
     x = waveform
     layer_caches = []
-    for layer, stride in zip(params.conv_layers, cfg.cnn.strides):
+    for i, (layer, stride) in enumerate(zip(params.conv_layers, cfg.cnn.strides)):
         y, c_conv = F.conv1d(x, layer.w, layer.b, stride)
+        if i == widest and after_widest is not None:
+            after_widest()
         normed, c_ln = F.layer_norm(y.T, layer.ln_gain, layer.ln_shift)
         activated, c_act = F.gelu(normed)
         x = activated.T
@@ -118,18 +135,44 @@ def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig)
     return wo, (layer_caches, c_pool, cfg)
 
 
-def waveform_branch_vjp(dwo: np.ndarray, cache):
+def waveform_branch_vjp(dwo: np.ndarray, cache, executor: Executor | None = None,
+                        before_widest: Callable[[], None] | None = None):
+    """Walk the conv stack from the top, each layer's input half and then its weight half.
+
+    With an executor, the widest layer's weight half is split by input
+    channel: its thread takes the first half of the channels as soon as
+    that layer's input half has returned (so the rebuilt columns and
+    `dcols` are never alive together), and the caller takes the rest once
+    it has walked the layers below. Both fill one column buffer allocated
+    here. `before_widest`, if given, is called before the widest layer's
+    input half. Each layer's cache is dropped from `cache` as the walk
+    passes it.
+    """
     layer_caches, c_pool, cfg = cache
+    widest = widest_layer(cfg)
+    half = slice(0, (1, *cfg.cnn.channel_widths)[widest] // 2)
     dpooled = dwo.transpose(1, 2, 0).reshape(cfg.time_patches, cfg.cnn.output_channels)
-    dco = F.adaptive_mean_pool_vjp(dpooled, c_pool)
-    dx = dco.T
-    for i, (c_conv, c_ln, c_act) in enumerate(reversed(layer_caches)):
-        dactivated = dx.T
-        dnormed = F.gelu_vjp(dactivated, c_act)
-        dy = F.layer_norm_vjp(dnormed, c_ln).T
-        last = i == len(layer_caches) - 1
-        dx = F.conv1d_vjp(dy, c_conv, need_dx=not last)
-    return dx
+    dx = F.adaptive_mean_pool_vjp(dpooled, c_pool).T
+    lent = None
+    while layer_caches:
+        i = len(layer_caches) - 1
+        c_conv, c_ln, c_act = layer_caches.pop()
+        dy = F.layer_norm_vjp(F.gelu_vjp(dx.T, c_act), c_ln).T
+        if i == widest and before_widest is not None:
+            before_widest()
+        if i > 0:
+            dx = F.conv1d_input_vjp(dy, c_conv)
+        if i == widest and executor is not None:
+            # Held here until both halves have ended, so the helper thread
+            # neither allocates nor frees anything large next to the walk.
+            lent = (dy, c_conv, F.conv1d_columns(dy, c_conv))
+            helper_half = _Job(executor, F.conv1d_kernel_grad, *lent, half)
+            helper_half.start()
+        else:
+            F.conv1d_weight_vjp(dy, c_conv)
+    if lent is not None:
+        own_half = F.conv1d_kernel_grad(*lent, slice(half.stop, None))
+        F.conv1d_weight_vjp(*lent[:2], np.concatenate([helper_half.wait(), own_half], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +219,8 @@ def ast_branch_vjp(dao: np.ndarray, cache):
     c_embed, block_caches, c_final, pos_embed, (f_p, t_p) = cache
     dtokens = dao.reshape(f_p * t_p, -1)
     dtokens = F.layer_norm_vjp(dtokens, c_final)
-    for c_block in reversed(block_caches):
-        dtokens = transformer_block_vjp(dtokens, c_block)
+    while block_caches:  # each block's activations are freed once its gradients are done
+        dtokens = transformer_block_vjp(dtokens, block_caches.pop())
     pos_embed.add_grad(dtokens)
     F.linear_vjp(dtokens, c_embed)  # input patches are data; their grad is unused
     return None
@@ -226,22 +269,75 @@ def classify_head_vjp(dscores: np.ndarray, cache):
 # Whole model
 
 
-def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig):
-    """Full forward pass; returns (scores, cache). Deterministic and pure."""
-    wo, c_wave = waveform_branch(waveform, params, cfg)
-    ao, c_ast = ast_branch(spec, params, cfg)
+# The helper thread's lane. Without an executor a job runs in the caller's
+# thread when it is waited for. The widest conv layer sets the step's
+# memory peak, so its work runs only while the helper is idle or holds
+# memory the caller allocated for it: the peak is then the same from run
+# to run, whatever the two threads' timing.
+
+
+def _call_once(call: list):
+    fn, *args = call
+    call.clear()
+    return fn(*args)
+
+
+class _Job:
+    """`fn(*args)`, run on the executor's thread from `start`, else in the caller's at `wait`.
+
+    The job lets go of its arguments as it starts, so what only it holds
+    (the spectrogram cache in `backward`) is freed when it ends, not when
+    the `_Job` is dropped, and not after `wait` has returned: a pool
+    thread still holds its work item for a moment after setting its result.
+    """
+
+    def __init__(self, executor: Executor | None, fn, *args):
+        self._executor = executor
+        self._call = [fn, *args]
+        self._future = None
+
+    def start(self) -> None:
+        if self._executor is not None:
+            self._future = self._executor.submit(_call_once, self._call)
+
+    def wait(self):
+        return _call_once(self._call) if self._future is None else self._future.result()
+
+
+def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
+            executor: Executor | None = None):
+    """Full forward pass; returns (scores, cache). Deterministic and pure.
+
+    With an executor, the spectrogram branch runs on its thread while the
+    caller runs the waveform branch above the widest conv layer. The
+    branches share no parameters, so every value is the same as without.
+    """
+    ast = _Job(executor, ast_branch, spec, params, cfg)
+    wo, c_wave = waveform_branch(waveform, params, cfg, after_widest=ast.start)
+    ao, c_ast = ast.wait()
     fused, ast_channels = fuse(wo, ao)
     (scores, _), c_head = classify_head(fused, params, cfg)
-    return scores, (c_wave, c_ast, ast_channels, c_head)
+    return scores, [c_wave, c_ast, ast_channels, c_head]
 
 
-def backward(dscores: np.ndarray, cache) -> None:
-    """Accumulate parameter gradients for one example."""
+def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None) -> None:
+    """Accumulate parameter gradients for one example; empties `cache`.
+
+    With an executor, its thread runs the spectrogram branch's backward
+    while the caller walks the conv layers above the widest, and then
+    half of the widest layer's kernel gradient. Each branch's activations
+    are freed as that branch finishes, and every job has ended when this
+    returns.
+    """
     c_wave, c_ast, ast_channels, c_head = cache
+    cache.clear()
     dfused = classify_head_vjp(dscores, c_head)
+    del c_head
     dwo, dao = fuse_vjp(dfused, ast_channels)
-    ast_branch_vjp(dao, c_ast)
-    waveform_branch_vjp(dwo, c_wave)
+    ast = _Job(executor, ast_branch_vjp, dao, c_ast)
+    ast.start()
+    del c_ast
+    waveform_branch_vjp(dwo, c_wave, executor, before_widest=ast.wait)
 
 
 def predict_scores(

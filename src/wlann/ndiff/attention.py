@@ -67,8 +67,7 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams):
     scale = 1.0 / math.sqrt(dim // params.heads)
     scores = qh @ kh.transpose(0, 2, 1)
     scores *= scale
-    attn, c_soft = F.softmax(scores, axis=-1)
-    del scores
+    attn, c_soft = F.softmax(scores, axis=-1, out=scores)  # the weights overwrite the scores
     context = attn @ vh  # (h, N, d_h)
     merged = _merge_heads(context)
     y, c_o = F.linear(merged, params.wo, params.bo)
@@ -82,7 +81,9 @@ def multi_head_self_attention_vjp(dy: np.ndarray, cache):
     dcontext = _split_heads(dmerged, heads)
     dattn = dcontext @ vh.transpose(0, 2, 1)
     dvh = attn.transpose(0, 2, 1) @ dcontext
-    dscores = F.softmax_vjp(dattn, c_soft) * scale
+    dscores = F.softmax_vjp(dattn, c_soft)
+    del dattn
+    dscores *= scale
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 2, 1) @ qh
     dx = F.linear_vjp(_merge_heads(dqh), c_q)

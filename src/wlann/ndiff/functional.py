@@ -18,6 +18,10 @@ from ..errors import ShapeError
 from .tensor import Tensor
 
 LAYER_NORM_EPS = 1e-8
+# Output columns per forward im2col GEMM. BLAS keeps each column's bits at
+# these widths; at a few hundred columns or fewer it takes other kernels.
+FORWARD_CHUNK = 4096
+MIN_TAIL = 1024
 # Python floats, not numpy scalars: under NEP 50 a np.float64 operand
 # would promote float32 activations to float64.
 _SQRT2 = math.sqrt(2.0)
@@ -39,16 +43,32 @@ def _tap_blocks(kernel: int, stride: int):
     return [(j, j * stride, min(stride, kernel - j * stride)) for j in range(-(-kernel // stride))]
 
 
-def _im2col(phases: np.ndarray, kernel: int, stride: int, l_out: int) -> np.ndarray:
+def _im2col(phases: np.ndarray, kernel: int, stride: int, l_out: int, out=None) -> np.ndarray:
     """(C_in, s, n) phase layout -> (C_in*K, L_out) columns, one block copy per tap block.
 
     Tap k = j*s + r of output l reads sample (l + j)*s + r = phases[:, r, l + j].
+    The columns are written into `out` if given, else into a new array.
     """
     c_in = phases.shape[0]
-    cols = np.empty((c_in, kernel, l_out), dtype=phases.dtype)
+    if out is None:
+        out = np.empty((c_in * kernel, l_out), dtype=phases.dtype)
+    cols = out.reshape(c_in, kernel, l_out)
     for j, k0, width in _tap_blocks(kernel, stride):
         cols[:, k0 : k0 + width] = phases[:, :width, j : j + l_out]
-    return cols.reshape(c_in * kernel, l_out)
+    return out
+
+
+def _column_chunks(l_out: int):
+    """[start, end) column ranges of the forward GEMM: FORWARD_CHUNK wide, the last to the end.
+
+    Starts sit on multiples of FORWARD_CHUNK and a tail under MIN_TAIL
+    columns joins the chunk before it, so every column comes out of a
+    GEMM tile laid out as in the whole-width product, bit for bit.
+    """
+    starts = list(range(0, l_out, FORWARD_CHUNK))
+    if len(starts) > 1 and l_out - starts[-1] < MIN_TAIL:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [l_out]))
 
 
 def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
@@ -70,20 +90,65 @@ def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
     padded[:, :take] = x[:, :take]
     phases = padded.reshape(c_in, n, stride).transpose(0, 2, 1).copy()
     del padded
-    cols = _im2col(phases, kernel, stride, l_out)
-    y = w.data.reshape(c_out, c_in * kernel) @ cols + b.data[:, None]
+    w2 = w.data.reshape(c_out, c_in * kernel)
+    y = np.empty((c_out, l_out), dtype=np.result_type(w.data, phases, b.data))
+    for a, e in _column_chunks(l_out):
+        cols = _im2col(phases[:, :, a : e + n - l_out], kernel, stride, e - a)
+        np.add(w2 @ cols, b.data[:, None], out=y[:, a:e])
+        del cols  # before the next chunk's columns are built
     cache = (length, phases, w, b, stride)
     return y, cache
 
 
 def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True):
-    length, phases, w, b, stride = cache
+    """The weight half, then the input half (None without `need_dx`)."""
+    conv1d_weight_vjp(dy, cache)
+    return conv1d_input_vjp(dy, cache) if need_dx else None
+
+
+def conv1d_columns(dy: np.ndarray, cache) -> np.ndarray:
+    """An empty (C_in*K, L_out) buffer for `conv1d_kernel_grad` to rebuild the im2col columns in."""
+    _, phases, w, _, _ = cache
+    return np.empty((phases.shape[0] * w.shape[2], dy.shape[1]), dtype=phases.dtype)
+
+
+def conv1d_kernel_grad(dy: np.ndarray, cache, cols: np.ndarray | None = None,
+                       channels: slice = slice(None)) -> np.ndarray:
+    """`dy @ columns.T` for the input `channels`: their (C_out, channels*K) kernel-gradient block.
+
+    Those channels' rows of the im2col columns are rebuilt into their rows
+    of `cols` (a `conv1d_columns` buffer, allocated here if None), so two
+    threads can fill and use disjoint rows of one buffer. BLAS gives each
+    output column the same bits at any split, so the blocks side by side
+    equal the whole product.
+    """
+    _, phases, w, _, stride = cache
+    kernel = w.shape[2]
+    c0, c1, _ = channels.indices(phases.shape[0])
+    if cols is None:
+        cols = conv1d_columns(dy, cache)
+    rows = _im2col(phases[c0:c1], kernel, stride, dy.shape[1], out=cols[c0 * kernel : c1 * kernel])
+    return dy @ rows.T
+
+
+def conv1d_weight_vjp(dy: np.ndarray, cache, kernel_grad: np.ndarray | None = None) -> None:
+    """The weight half of `conv1d_vjp`: accumulate the kernel and bias gradients.
+
+    `kernel_grad` is `conv1d_kernel_grad` over all channels, if the caller
+    has computed it (in channel blocks, say); else it is computed here.
+    """
+    _, _, w, b, _ = cache
+    if kernel_grad is None:
+        kernel_grad = conv1d_kernel_grad(dy, cache)
+    w.add_grad(kernel_grad.reshape(w.shape))
+    b.add_grad(dy.sum(axis=1))
+
+
+def conv1d_input_vjp(dy: np.ndarray, cache) -> np.ndarray:
+    """The input half of `conv1d_vjp`: the gradient with respect to `x`; no `Tensor.grad` changes."""
+    length, phases, w, _, stride = cache
     c_out, c_in, kernel = w.shape
     l_out = dy.shape[1]
-    w.add_grad((dy @ _im2col(phases, kernel, stride, l_out).T).reshape(w.shape))
-    b.add_grad(dy.sum(axis=1))
-    if not need_dx:
-        return None
     dcols = (w.data.reshape(c_out, c_in * kernel).T @ dy).reshape(c_in, kernel, l_out)
     # Scatter back block by block: each sample m*s + r gets its taps j*s + r
     # in ascending j, i.e. ascending k, the order a per-tap loop would use.
@@ -152,17 +217,22 @@ def sigmoid_vjp(dy: np.ndarray, cache):
 # Axiswise operations
 
 
-def softmax(x: np.ndarray, axis: int = -1):
-    """Shift, exponentiate and normalize in one buffer; `x` is left unmodified."""
-    y = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None):
+    """Shift, exponentiate and normalize in one buffer: `out` if given (it may be `x`), else new."""
+    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return y, (y, axis)
 
 
 def softmax_vjp(dy: np.ndarray, cache):
+    """y * (dy - sum(dy * y)), computed in one new buffer."""
     y, axis = cache
-    return y * (dy - (dy * y).sum(axis=axis, keepdims=True))
+    dx = dy * y
+    rows = dx.sum(axis=axis, keepdims=True)
+    np.subtract(dy, rows, out=dx)
+    dx *= y
+    return dx
 
 
 def layer_norm(x: np.ndarray, gain: Tensor, shift: Tensor):

@@ -4,8 +4,8 @@ from .adam import Adam
 from .checkpoint import (
     MAGIC,
     Archive,
+    ArchiveReader,
     load_archive,
-    restore_parameters,
     save_archive,
 )
 from .focal import PRED_CLAMP_EPS, focal_loss, focal_loss_vjp, one_hot, validate_target
@@ -25,6 +25,7 @@ from .loop import (
 __all__ = [
     "Adam",
     "Archive",
+    "ArchiveReader",
     "MAGIC",
     "PRED_CLAMP_EPS",
     "PreparedExample",
@@ -39,7 +40,6 @@ __all__ = [
     "one_hot",
     "prepare_example",
     "prepare_split",
-    "restore_parameters",
     "save_archive",
     "save_checkpoint",
     "train_step",

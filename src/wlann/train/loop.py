@@ -9,6 +9,7 @@ identical checkpoints.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from ..model.network import WlannParams, backward, forward
 from ..model.pipeline import prepare_input
 from ..ndiff.tensor import Tensor
 from .adam import Adam
-from .checkpoint import Archive, load_archive, restore_parameters, save_archive
+from .checkpoint import Archive, ArchiveReader, save_archive
 from .focal import focal_loss, focal_loss_vjp, one_hot
 
 logger = logging.getLogger(__name__)
@@ -84,6 +85,10 @@ def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, 
     Each example's cached spectrogram is augmented by `spec_augment` with
     the config's `augment` strengths and a seed derived from (config
     seed, step, batch index); all-zero strengths leave it unchanged.
+    One helper thread, alive for this call only, runs the spectrogram
+    branch and the conv weight gradients next to the waveform branch.
+    The branches own disjoint parameters and each example's work ends
+    before the next begins, so the result is bitwise that of one thread.
     """
     if not batch:
         raise ValidationError("training batch is empty")
@@ -92,21 +97,25 @@ def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, 
     total_loss = 0.0
     correct = 0
     scale = 1.0 / len(batch)
-    for index, example in enumerate(batch):
-        seed = augment_seed_for(cfg.seed, state.step, index)
-        spec = spec_augment(example.base_spec, cfg.augment, seed)
-        scores, cache = forward(example.waveform, spec, state.params, cfg)
-        target = one_hot(example.label_index, cfg.num_classes, dtype=scores.dtype)
-        loss, loss_cache = focal_loss(scores, target, cfg.focal_gamma)
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"non-finite loss at step {state.step} on example {example.example_id!r}"
-            )
-        total_loss += loss
-        if int(np.argmax(scores)) == example.label_index:
-            correct += 1
-        backward(focal_loss_vjp(scale, loss_cache), cache)
-        del cache, loss_cache  # free this example's activations before the next forward
+    helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="wlann-train-step")
+    try:
+        for index, example in enumerate(batch):
+            seed = augment_seed_for(cfg.seed, state.step, index)
+            spec = spec_augment(example.base_spec, cfg.augment, seed)
+            scores, cache = forward(example.waveform, spec, state.params, cfg, helper)
+            target = one_hot(example.label_index, cfg.num_classes, dtype=scores.dtype)
+            loss, loss_cache = focal_loss(scores, target, cfg.focal_gamma)
+            if not np.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss at step {state.step} on example {example.example_id!r}"
+                )
+            total_loss += loss
+            if int(np.argmax(scores)) == example.label_index:
+                correct += 1
+            backward(focal_loss_vjp(scale, loss_cache), cache, helper)
+            del cache, loss_cache  # free this example's activations before the next forward
+    finally:
+        helper.shutdown(cancel_futures=True)
     state.optimizer.step()
     state.step += 1
     mean_loss = total_loss * scale
@@ -181,28 +190,32 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[WlannConfig, WlannParams, Archive]:
-    """Load a checkpoint for inference: config, restored parameters and the tensor-free header."""
-    archive = load_archive(path)
-    cfg = WlannConfig.from_dict(archive.config)
-    params = WlannParams.allocate(cfg)
-    restore_parameters(archive, params.named())
-    return cfg, params, Archive(archive.kind, archive.config, archive.metadata)
+    """Load a checkpoint for inference: config, restored parameters and the tensor-free header.
+
+    Only the parameters' payloads are read; the Adam moments stay on disk.
+    """
+    with ArchiveReader(path) as reader:
+        cfg = WlannConfig.from_dict(reader.header.config)
+        params = WlannParams.allocate(cfg)
+        reader.restore(params.named())
+    return cfg, params, reader.header
 
 
 def load_train_state(path: str | Path) -> TrainState:
     """Rebuild a full training state (parameters + optimizer moments)."""
-    archive = load_archive(path)
-    counters = {key: archive.metadata.get(key, 0) for key in ("step", "epoch", "optimizer_steps")}
-    for key, value in counters.items():
-        if type(value) is not int or value < 0:
-            raise CheckpointError(
-                CHECKPOINT_BAD_MAGIC,
-                f"{path}: metadata {key!r} must be a non-negative integer, got {value!r}",
-            )
-    cfg = WlannConfig.from_dict(archive.config)
-    params = WlannParams.allocate(cfg)
-    optimizer = Adam(list(params.tensors()), cfg.optimizer)
-    state = TrainState(cfg, params, optimizer, step=counters["step"], epoch=counters["epoch"])
-    restore_parameters(archive, _state_tensors(state))
+    with ArchiveReader(path) as reader:
+        metadata = reader.header.metadata
+        counters = {key: metadata.get(key, 0) for key in ("step", "epoch", "optimizer_steps")}
+        for key, value in counters.items():
+            if type(value) is not int or value < 0:
+                raise CheckpointError(
+                    CHECKPOINT_BAD_MAGIC,
+                    f"{path}: metadata {key!r} must be a non-negative integer, got {value!r}",
+                )
+        cfg = WlannConfig.from_dict(reader.header.config)
+        params = WlannParams.allocate(cfg)
+        optimizer = Adam(list(params.tensors()), cfg.optimizer)
+        state = TrainState(cfg, params, optimizer, step=counters["step"], epoch=counters["epoch"])
+        reader.restore(_state_tensors(state))
     optimizer.step_count = counters["optimizer_steps"]
     return state

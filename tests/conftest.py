@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,30 @@ def small_train_config(**overrides) -> WlannConfig:
     )
     defaults.update(overrides)
     return WlannConfig(**defaults)
+
+
+def separation_config(**overrides) -> WlannConfig:
+    """The 1 s separation geometry (acceptance criterion 7), about 1.09M parameters."""
+    defaults = dict(
+        fixed_input_seconds=1.0,
+        cnn=CnnBranchConfig(kernel=80, initial_stride=5, block_strides=(4, 4, 4),
+                            channel_widths=(16, 32, 90, 90)),
+        ast=AstBranchConfig(embed_dim=32, depth=2, heads=4),
+        gru_hidden=128,
+    )
+    defaults.update(overrides)
+    return WlannConfig(**defaults)
+
+
+def traced_peak(call) -> int:
+    """Bytes `call()` allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def raw_wav_bytes(payload: bytes, channels=1, rate=8000, bits=16, audio_format=1) -> bytes:

@@ -18,6 +18,7 @@ from wlann.model import (
     forward,
     fuse,
     pad_or_crop_center,
+    predict_scores,
     prepare_input,
     waveform_branch,
 )
@@ -28,9 +29,11 @@ from wlann.model.config import (
     CnnBranchConfig,
     OptimizerConfig,
 )
+from wlann.model.network import widest_layer
+from wlann.ndiff.functional import FORWARD_CHUNK
 from wlann.verify import micro_config
 
-from conftest import float_arrays, small_train_config
+from conftest import float_arrays, separation_config, small_train_config, traced_peak
 
 
 class TestDefaultGeometry:
@@ -344,6 +347,19 @@ class TestStructuralIdentities:
         cached = list(float_arrays(cache))
         assert cached
         assert not any(a.shape == frames.shape and np.array_equal(a, frames) for a in cached)
+
+    def test_predict_peak_is_set_by_the_widest_layers_columns(self, rng):
+        """At the 1 s separation geometry: the widest layer's im2col columns plus under 2 MiB."""
+        cfg = separation_config()
+        params = WlannParams.create(cfg)
+        waveform = rng.uniform(-0.5, 0.5, (1, cfg.fixed_samples)).astype(np.float32)
+        spec = LogMelSpectrogram(values=rng.standard_normal((128, cfg.spec_frames)))
+        predict_scores(waveform, spec, params, cfg)  # first-call imports
+        peak = traced_peak(lambda: predict_scores(waveform, spec, params, cfg))
+        widest = widest_layer(cfg)
+        rows = (1, *cfg.cnn.channel_widths)[widest] * cfg.cnn.kernel
+        columns = rows * min(cfg.conv_lengths()[widest + 1], FORWARD_CHUNK) * 4
+        assert peak <= columns + 2 * 2**20, (peak, columns)
 
     def test_single_patch_column(self, rng):
         """Inputs with exactly 16 frames produce a 15 x 1 token grid."""

@@ -22,6 +22,9 @@ from wlann.ndiff import (
     transformer_block,
 )
 from wlann.ndiff import functional as F
+from wlann.ndiff.attention import multi_head_self_attention_vjp
+
+from conftest import traced_peak
 
 
 def tensor(values, name="t"):
@@ -202,6 +205,38 @@ class TestConv1d:
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out,l_out,stride", [
+        (1, 16, 5596, 5),  # a 4096-column chunk, then a 1500-column one
+        (8, 8, 8193, 4),  # a 1-column tail joins the chunk before it
+    ])
+    def test_chunked_forward_bitwise_equal_to_whole_width_gemm(self, rng, dtype, c_in, c_out,
+                                                               l_out, stride):
+        kernel = 80
+        assert l_out > F.FORWARD_CHUNK
+        x = rng.standard_normal((c_in, (l_out - 1) * stride + kernel)).astype(dtype)
+        w = Tensor(rng.standard_normal((c_out, c_in, kernel)).astype(dtype), name="w")
+        b = Tensor(rng.standard_normal(c_out).astype(dtype), name="b")
+        y, _ = F.conv1d(x, w, b, stride)
+
+        windows = sliding_window_view(x, kernel, axis=1)[:, ::stride, :]
+        cols = np.ascontiguousarray(windows.transpose(0, 2, 1).reshape(c_in * kernel, l_out))
+        expected = w.data.reshape(c_out, c_in * kernel) @ cols + b.data[:, None]
+        assert y.dtype == expected.dtype == dtype
+        assert np.array_equal(y, expected)
+
+    def test_forward_builds_columns_one_chunk_at_a_time(self, rng):
+        """Past FORWARD_CHUNK output columns, the peak holds one chunk's columns, not all."""
+        c_in, c_out, kernel, stride, l_out = 16, 8, 80, 4, 3 * F.FORWARD_CHUNK
+        x = rng.standard_normal((c_in, (l_out - 1) * stride + kernel)).astype(np.float32)
+        w = Tensor(rng.standard_normal((c_out, c_in, kernel)).astype(np.float32), name="w")
+        b = Tensor(np.zeros(c_out, np.float32), name="b")
+        peak = traced_peak(lambda: F.conv1d(x, w, b, stride))
+        chunk_columns = c_in * kernel * F.FORWARD_CHUNK * 4
+        # The padded input and its phase copy (2 x), the output, one chunk's GEMM result.
+        rest = 2 * x.nbytes + 2 * c_out * l_out * 4
+        assert peak <= chunk_columns + rest + 2**16, (peak, chunk_columns, rest)
+
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
             F.conv1d(np.zeros((1, 3)), tensor(np.zeros((1, 1, 4))), tensor(np.zeros(1)), 1)
@@ -264,6 +299,24 @@ class TestActivations:
         y, _ = F.softmax(x, axis=-1)
         np.testing.assert_array_equal(x, before)
         assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_into_its_input_buffer(self, rng, dtype):
+        x = (rng.standard_normal((3, 40, 40)) * 8).astype(dtype)
+        expected, _ = F.softmax(x, axis=-1)
+        y, (cached, _) = F.softmax(x, axis=-1, out=x)
+        assert y is x and cached is x
+        assert np.array_equal(y, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_vjp_bitwise_equal_to_closed_form(self, rng, dtype):
+        y, cache = F.softmax((rng.standard_normal((3, 40, 40)) * 8).astype(dtype), axis=-1)
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        before = dy.copy()
+        dx = F.softmax_vjp(dy, cache)
+        assert dx.dtype == dtype
+        assert np.array_equal(dx, y * (dy - (dy * y).sum(axis=-1, keepdims=True)))
+        assert np.array_equal(dy, before)
 
     def test_gelu_fixed_points(self):
         y, _ = F.gelu(np.array([0.0, 100.0, -100.0]))
@@ -333,6 +386,19 @@ class TestAttention:
         attn = cache[8]
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(attn >= 0)
+
+    def test_one_score_sized_buffer_forward_two_backward(self, rng):
+        """The weights overwrite the scores; the backward scales its score gradient in place."""
+        heads, n, dim = 2, 300, 8
+        params = AttentionParams.allocate(dim, heads).initialize(rng, 0.02)
+        x, dy = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+        _, cache = multi_head_self_attention(x, params)
+        multi_head_self_attention_vjp(dy, cache)  # first-call gradient buffers
+        scores_bytes = heads * n * n * 8
+        forward_peak = traced_peak(lambda: multi_head_self_attention(x, params))
+        backward_peak = traced_peak(lambda: multi_head_self_attention_vjp(dy, cache))
+        assert forward_peak <= scores_bytes + 2**18, (forward_peak, scores_bytes)
+        assert backward_peak <= 2 * scores_bytes + 2**18, (backward_peak, scores_bytes)
 
     def test_single_head_matches_explicit_formula(self, rng):
         """N=3, D=4, one head: independent composition of the textbook formula."""

@@ -2,23 +2,34 @@
 
 import errno
 import json
+import os
 import struct
-import tracemalloc
+import subprocess
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import wlann
 from wlann.dataio import AudioClip
-from wlann.errors import CheckpointError, NumericError, StorageError
-from wlann.model import WlannParams, backward, forward, prepare_input
-from wlann.model.config import AstBranchConfig, CnnBranchConfig, OptimizerConfig, WlannConfig
+from wlann.dsp import spec_augment
+from wlann.errors import CheckpointError, NumericError, ShapeError, StorageError
+from wlann.model import WlannParams, backward, forward, network, prepare_input
+from wlann.model.config import AugmentConfig, OptimizerConfig, WlannConfig
 from wlann.ndiff import ParamGroup, Tensor
+from wlann.ndiff import functional as F
 from wlann.train import (
     Adam,
+    ArchiveReader,
     PreparedExample,
     TrainState,
+    augment_seed_for,
     fit,
     focal_loss,
     focal_loss_vjp,
@@ -31,9 +42,8 @@ from wlann.train import (
     train_step,
 )
 from wlann.train import checkpoint
-from wlann.train.checkpoint import restore_parameters
 
-from conftest import float_arrays, small_train_config
+from conftest import float_arrays, separation_config, small_train_config, traced_peak
 
 
 def synthetic_batch(cfg, rng, n=4):
@@ -44,17 +54,6 @@ def synthetic_batch(cfg, rng, n=4):
         waveform, spec = prepare_input(clip, cfg)
         batch.append(PreparedExample(f"clip{i}", waveform, spec, i % cfg.num_classes))
     return batch
-
-
-def traced_peak(call) -> int:
-    """Bytes `call()` allocates at its peak, above what was live before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestAdam:
@@ -142,6 +141,130 @@ class TestTrainStep:
             train_step([], state)
 
 
+def serial_train_step(batch, state) -> float:
+    """`train_step` in one thread: `forward` and `backward` without an executor."""
+    cfg = state.cfg
+    state.optimizer.zero_grads()
+    total_loss = 0.0
+    scale = 1.0 / len(batch)
+    for index, example in enumerate(batch):
+        spec = spec_augment(example.base_spec, cfg.augment,
+                            augment_seed_for(cfg.seed, state.step, index))
+        scores, cache = forward(example.waveform, spec, state.params, cfg)
+        target = one_hot(example.label_index, cfg.num_classes, dtype=scores.dtype)
+        loss, loss_cache = focal_loss(scores, target, cfg.focal_gamma)
+        total_loss += loss
+        backward(focal_loss_vjp(scale, loss_cache), cache)
+    state.optimizer.step()
+    state.step += 1
+    return total_loss * scale
+
+
+class TestTwoThreadStep:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bitwise_equal_to_one_thread(self, dtype):
+        """Batch 2, so gradients accumulate across examples; time warp and frequency masks on."""
+        cfg = small_train_config(dtype=dtype, augment=AugmentConfig(time_warp_frames=2),
+                                 seed=8)
+        batch = synthetic_batch(cfg, np.random.default_rng(6), n=2)
+        threaded, serial = TrainState.create(cfg), TrainState.create(cfg)
+        for _ in range(3):
+            assert train_step(batch, threaded)[0] == serial_train_step(batch, serial)
+        pairs = zip([*threaded.params.tensors(), *threaded.optimizer.m, *threaded.optimizer.v],
+                    [*serial.params.tensors(), *serial.optimizer.m, *serial.optimizer.v])
+        for got, want in pairs:
+            assert got.data.dtype == want.data.dtype == np.dtype(dtype)
+            assert got.data.tobytes() == want.data.tobytes(), got.name
+
+    @pytest.mark.parametrize("target", ["ast_branch", "ast_branch_vjp"])
+    def test_helper_error_keeps_its_type_and_ends_the_thread(self, monkeypatch, target):
+        cfg = small_train_config()
+        batch = synthetic_batch(cfg, np.random.default_rng(7), n=2)
+        state = TrainState.create(cfg)
+        before = set(threading.enumerate())
+
+        def broken(*args):
+            assert threading.current_thread() is not threading.main_thread()
+            raise ShapeError(f"{target} failed")
+
+        monkeypatch.setattr(network, target, broken)
+        with pytest.raises(ShapeError, match=f"{target} failed"):
+            train_step(batch, state)
+        assert not set(threading.enumerate()) - before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_spectrogram_activations_freed_before_the_widest_layer(self, monkeypatch, threads):
+        cfg = small_train_config()
+        example = synthetic_batch(cfg, np.random.default_rng(9), n=1)[0]
+        params = WlannParams.create(cfg)
+        owned = {id(t.data) for t in params.tensors()}
+        widest = network.widest_layer(cfg)
+        seen = []
+        input_vjp = F.conv1d_input_vjp
+
+        def recording(dy, cache):
+            if cache[2] is params.conv_layers[widest].w:
+                seen.append(sum(ref() is not None for ref in refs))
+            return input_vjp(dy, cache)
+
+        monkeypatch.setattr(F, "conv1d_input_vjp", recording)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool if threads == 2 else None
+            scores, cache = forward(example.waveform, example.base_spec, params, cfg, helper)
+            refs = [weakref.ref(a) for a in float_arrays(cache[1])
+                    if isinstance(a, np.ndarray) and id(a) not in owned]
+            _, loss_cache = focal_loss(scores, one_hot(0, cfg.num_classes, scores.dtype), 2.0)
+            params.zero_grads()
+            backward(focal_loss_vjp(1.0, loss_cache), cache, helper)
+        assert refs and seen == [0]
+
+    def test_no_thread_outlives_a_step(self):
+        cfg = small_train_config()
+        before = set(threading.enumerate())
+        train_step(synthetic_batch(cfg, np.random.default_rng(8), n=1), TrainState.create(cfg))
+        assert not set(threading.enumerate()) - before
+
+
+class TestBlasPin:
+    """`import wlann` pins BLAS to one thread unless the variable is set (subprocess runs)."""
+
+    SCRIPT = """
+import hashlib, os
+import wlann  # before NumPy, as the `wlann` command imports it
+import numpy as np
+from wlann.dataio import AudioClip
+from wlann.model import prepare_input
+from wlann.model.config import AstBranchConfig, CnnBranchConfig, WlannConfig
+from wlann.train import PreparedExample, TrainState, train_step
+cfg = WlannConfig(fixed_input_seconds=1.0, gru_hidden=4,
+                  ast=AstBranchConfig(embed_dim=8, depth=1, heads=2),
+                  cnn=CnnBranchConfig(kernel=80, initial_stride=5, block_strides=(4, 4, 4),
+                                      channel_widths=(8, 8, 15, 15)))
+clip = AudioClip(np.random.default_rng(3).uniform(-0.5, 0.5, 16000), 16000)
+state = TrainState.create(cfg)
+train_step([PreparedExample("a", *prepare_input(clip, cfg), 2)], state)
+digest = hashlib.sha256(b"".join(t.data.tobytes() for t in state.params.tensors()))
+print(os.environ["OPENBLAS_NUM_THREADS"], digest.hexdigest())
+"""
+
+    @classmethod
+    def run(cls, **variables) -> list[str]:
+        env = {k: v for k, v in os.environ.items() if k not in wlann.BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = str(Path(wlann.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", cls.SCRIPT], env={**env, **variables},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_unset_thread_count_trains_as_one_thread(self):
+        unset, one = self.run(), self.run(OPENBLAS_NUM_THREADS="1")
+        assert unset == one
+        assert unset[0] == "1"
+
+    def test_a_set_thread_count_wins(self):
+        assert self.run(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
 class TestConfigDtype:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_forward_backward_and_step_compute_in_config_dtype(self, dtype, grad_dtypes):
@@ -151,13 +274,14 @@ class TestConfigDtype:
         want = np.dtype(dtype)
 
         scores, cache = forward(example.waveform, example.base_spec, state.params, cfg)
+        cached = {a.dtype for a in float_arrays(cache)}  # read now: `backward` empties the cache
         target = one_hot(example.label_index, cfg.num_classes, dtype=cfg.numpy_dtype)
         _, loss_cache = focal_loss(scores, target, cfg.focal_gamma)
         state.optimizer.zero_grads()
         backward(focal_loss_vjp(1.0, loss_cache), cache)
         state.optimizer.step()
 
-        assert {a.dtype for a in float_arrays(cache)} == {want}
+        assert cached == {want}
         assert scores.dtype == want
         assert set(grad_dtypes) == {want}
         assert {t.grad.dtype for t in state.params.tensors()} == {want}
@@ -285,8 +409,8 @@ class TestCheckpointArchive:
         tensors["head.w"] = np.zeros((3, 3), dtype=np.float32)
         path = tmp_path / "t.wlann"
         save_archive(path, "checkpoint", cfg.to_dict(), tensors)
-        with pytest.raises(CheckpointError) as err:
-            restore_parameters(load_archive(path), params.named())
+        with pytest.raises(CheckpointError) as err, ArchiveReader(path) as reader:
+            reader.restore(params.named())
         assert err.value.code == "shape_mismatch"
 
     def test_missing_tensor_code(self, tmp_path):
@@ -296,8 +420,8 @@ class TestCheckpointArchive:
         tensors.pop("head.w")
         path = tmp_path / "t.wlann"
         save_archive(path, "checkpoint", cfg.to_dict(), tensors)
-        with pytest.raises(CheckpointError) as err:
-            restore_parameters(load_archive(path), params.named())
+        with pytest.raises(CheckpointError) as err, ArchiveReader(path) as reader:
+            reader.restore(params.named())
         assert err.value.code == "missing_tensor"
 
     def test_unknown_extra_tensor_warns_but_loads(self, tmp_path):
@@ -307,8 +431,8 @@ class TestCheckpointArchive:
         tensors["future.feature"] = np.ones(3, dtype=np.float32)
         path = tmp_path / "t.wlann"
         save_archive(path, "checkpoint", cfg.to_dict(), tensors)
-        with pytest.warns(UserWarning, match="future.feature"):
-            restore_parameters(load_archive(path), params.named())
+        with pytest.warns(UserWarning, match="future.feature"), ArchiveReader(path) as reader:
+            reader.restore(params.named())
 
     @staticmethod
     def few_mb_table(rng) -> dict[str, np.ndarray]:
@@ -329,7 +453,8 @@ class TestCheckpointArchive:
         state = TrainState.create(small_train_config(seed=4))
         named = {**state.params.named(), **state.optimizer.moments()}
         owned = {name: tensor.data for name, tensor in named.items()}
-        restore_parameters(archive, named)
+        with ArchiveReader(path) as reader:
+            reader.restore(named)
         for name, tensor in named.items():
             assert tensor.data is owned[name]
             assert tensor.data.flags.writeable
@@ -470,14 +595,7 @@ class TestStateRoundTrip:
 
     def test_load_checkpoint_peaks_at_file_plus_parameters(self, tmp_path):
         """At the 1 s separation geometry: the bytes read plus the parameters they fill."""
-        cfg = WlannConfig(
-            fixed_input_seconds=1.0,
-            cnn=CnnBranchConfig(kernel=80, initial_stride=5, block_strides=(4, 4, 4),
-                                channel_widths=(16, 32, 90, 90)),
-            ast=AstBranchConfig(embed_dim=32, depth=2, heads=4),
-            gru_hidden=128,
-        )
-        state = TrainState.create(cfg)
+        state = TrainState.create(separation_config())
         param_bytes = sum(tensor.data.nbytes for tensor in state.params.tensors())
         path = tmp_path / "separation.wlann"
         save_checkpoint(path, state)
@@ -485,6 +603,35 @@ class TestStateRoundTrip:
         peak = traced_peak(lambda: load_checkpoint(path))
         bound = path.stat().st_size + param_bytes + 2**20
         assert peak <= bound, (peak, bound)
+
+    def test_load_checkpoint_reads_only_the_parameters(self, tmp_path):
+        """An inference load peaks at the parameters plus the header: the moments stay on disk."""
+        state = TrainState.create(separation_config())
+        param_bytes = sum(tensor.data.nbytes for tensor in state.params.tensors())
+        path = tmp_path / "separation.wlann"
+        save_checkpoint(path, state)
+        del state
+        with path.open("rb") as handle:
+            handle.read(len(checkpoint.MAGIC))
+            (header_len,) = struct.unpack("<I", handle.read(4))
+        load_checkpoint(path)  # first-call imports
+        peak = traced_peak(lambda: load_checkpoint(path))
+        bound = param_bytes + header_len + 2**18
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("load", [load_checkpoint, load_train_state])
+    def test_partial_loads_check_the_whole_file(self, tmp_path, load):
+        """Truncation and trailing bytes are found from the file size, moments unread or not."""
+        path = self.trained_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-16])
+        with pytest.raises(CheckpointError, match=r"'adam\.v\.head\.b' \(need \d+ bytes") as err:
+            load(path)
+        assert err.value.code == "truncated_payload"
+        path.write_bytes(raw + b"\x00" * 12)
+        with pytest.raises(CheckpointError, match="12 bytes after the last tensor") as err:
+            load(path)
+        assert err.value.code == "trailing_bytes"
 
     def test_fit_epochs_zero_writes_initial_params(self, tmp_path, tiny_corpus):
         corpus, train_split, _, _ = tiny_corpus
