@@ -137,42 +137,24 @@ def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
 
 def waveform_branch_vjp(dwo: np.ndarray, cache, executor: Executor | None = None,
                         before_widest: Callable[[], None] | None = None):
-    """Walk the conv stack from the top, each layer's input half and then its weight half.
+    """Walk the conv stack from the top, one `conv1d_vjp` per layer.
 
-    With an executor, the widest layer's weight half is split by input
-    channel: its thread takes the first half of the channels as soon as
-    that layer's input half has returned (so the rebuilt columns and
-    `dcols` are never alive together), and the caller takes the rest once
-    it has walked the layers below. Both fill one column buffer allocated
-    here. `before_widest`, if given, is called before the widest layer's
-    input half. Each layer's cache is dropped from `cache` as the walk
-    passes it.
+    The widest layer's kernel gradient is split with the executor's
+    thread, if one is given. `before_widest`, if given, is called before
+    that layer's VJP. Each layer's cache is dropped from `cache` as the
+    walk passes it.
     """
     layer_caches, c_pool, cfg = cache
     widest = widest_layer(cfg)
-    half = slice(0, (1, *cfg.cnn.channel_widths)[widest] // 2)
     dpooled = dwo.transpose(1, 2, 0).reshape(cfg.time_patches, cfg.cnn.output_channels)
     dx = F.adaptive_mean_pool_vjp(dpooled, c_pool).T
-    lent = None
     while layer_caches:
         i = len(layer_caches) - 1
         c_conv, c_ln, c_act = layer_caches.pop()
         dy = F.layer_norm_vjp(F.gelu_vjp(dx.T, c_act), c_ln).T
         if i == widest and before_widest is not None:
             before_widest()
-        if i > 0:
-            dx = F.conv1d_input_vjp(dy, c_conv)
-        if i == widest and executor is not None:
-            # Held here until both halves have ended, so the helper thread
-            # neither allocates nor frees anything large next to the walk.
-            lent = (dy, c_conv, F.conv1d_columns(dy, c_conv))
-            helper_half = _Job(executor, F.conv1d_kernel_grad, *lent, half)
-            helper_half.start()
-        else:
-            F.conv1d_weight_vjp(dy, c_conv)
-    if lent is not None:
-        own_half = F.conv1d_kernel_grad(*lent, slice(half.stop, None))
-        F.conv1d_weight_vjp(*lent[:2], np.concatenate([helper_half.wait(), own_half], axis=1))
+        dx = F.conv1d_vjp(dy, c_conv, need_dx=i > 0, executor=executor if i == widest else None)
 
 
 # ---------------------------------------------------------------------------
@@ -269,39 +251,10 @@ def classify_head_vjp(dscores: np.ndarray, cache):
 # Whole model
 
 
-# The helper thread's lane. Without an executor a job runs in the caller's
-# thread when it is waited for. The widest conv layer sets the step's
+# The helper thread's lane (`F.Job`). The widest conv layer sets the step's
 # memory peak, so its work runs only while the helper is idle or holds
 # memory the caller allocated for it: the peak is then the same from run
 # to run, whatever the two threads' timing.
-
-
-def _call_once(call: list):
-    fn, *args = call
-    call.clear()
-    return fn(*args)
-
-
-class _Job:
-    """`fn(*args)`, run on the executor's thread from `start`, else in the caller's at `wait`.
-
-    The job lets go of its arguments as it starts, so what only it holds
-    (the spectrogram cache in `backward`) is freed when it ends, not when
-    the `_Job` is dropped, and not after `wait` has returned: a pool
-    thread still holds its work item for a moment after setting its result.
-    """
-
-    def __init__(self, executor: Executor | None, fn, *args):
-        self._executor = executor
-        self._call = [fn, *args]
-        self._future = None
-
-    def start(self) -> None:
-        if self._executor is not None:
-            self._future = self._executor.submit(_call_once, self._call)
-
-    def wait(self):
-        return _call_once(self._call) if self._future is None else self._future.result()
 
 
 def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
@@ -312,7 +265,7 @@ def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, 
     caller runs the waveform branch above the widest conv layer. The
     branches share no parameters, so every value is the same as without.
     """
-    ast = _Job(executor, ast_branch, spec, params, cfg)
+    ast = F.Job(executor, ast_branch, spec, params, cfg)
     wo, c_wave = waveform_branch(waveform, params, cfg, after_widest=ast.start)
     ao, c_ast = ast.wait()
     fused, ast_channels = fuse(wo, ao)
@@ -334,7 +287,7 @@ def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None)
     dfused = classify_head_vjp(dscores, c_head)
     del c_head
     dwo, dao = fuse_vjp(dfused, ast_channels)
-    ast = _Job(executor, ast_branch_vjp, dao, c_ast)
+    ast = F.Job(executor, ast_branch_vjp, dao, c_ast)
     ast.start()
     del c_ast
     waveform_branch_vjp(dwo, c_wave, executor, before_widest=ast.wait)

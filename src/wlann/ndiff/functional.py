@@ -11,6 +11,7 @@ differences.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 
 import numpy as np
 
@@ -32,6 +33,38 @@ def conv1d_output_length(length: int, kernel: int, stride: int) -> int:
     if length < kernel:
         raise ShapeError(f"input length {length} shorter than kernel {kernel}")
     return (length - kernel) // stride + 1
+
+
+# ---------------------------------------------------------------------------
+# Jobs
+
+
+def _call_once(call: list):
+    fn, *args = call
+    call.clear()
+    return fn(*args)
+
+
+class Job:
+    """`fn(*args)`, run on the executor's thread from `start`, else in the caller's at `wait`.
+
+    The job lets go of its arguments as it starts, so what only it holds
+    (the spectrogram cache in `backward`) is freed when it ends, not when
+    the `Job` is dropped, and not after `wait` has returned: a pool
+    thread still holds its work item for a moment after setting its result.
+    """
+
+    def __init__(self, executor: Executor | None, fn, *args):
+        self._executor = executor
+        self._call = [fn, *args]
+        self._future = None
+
+    def start(self) -> None:
+        if self._executor is not None:
+            self._future = self._executor.submit(_call_once, self._call)
+
+    def wait(self):
+        return _call_once(self._call) if self._future is None else self._future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -100,52 +133,44 @@ def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
     return y, cache
 
 
-def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True):
-    """The weight half, then the input half (None without `need_dx`)."""
-    conv1d_weight_vjp(dy, cache)
-    return conv1d_input_vjp(dy, cache) if need_dx else None
+def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor | None = None):
+    """Accumulate the kernel and bias gradients; return the input gradient (None without `need_dx`).
 
-
-def conv1d_columns(dy: np.ndarray, cache) -> np.ndarray:
-    """An empty (C_in*K, L_out) buffer for `conv1d_kernel_grad` to rebuild the im2col columns in."""
-    _, phases, w, _, _ = cache
-    return np.empty((phases.shape[0] * w.shape[2], dy.shape[1]), dtype=phases.dtype)
-
-
-def conv1d_kernel_grad(dy: np.ndarray, cache, cols: np.ndarray | None = None,
-                       channels: slice = slice(None)) -> np.ndarray:
-    """`dy @ columns.T` for the input `channels`: their (C_out, channels*K) kernel-gradient block.
-
-    Those channels' rows of the im2col columns are rebuilt into their rows
-    of `cols` (a `conv1d_columns` buffer, allocated here if None), so two
-    threads can fill and use disjoint rows of one buffer. BLAS gives each
-    output column the same bits at any split, so the blocks side by side
-    equal the whole product.
+    The input half runs first, so its `W.T @ dy` columns are freed before
+    the im2col columns are rebuilt. With an executor, its thread rebuilds
+    and multiplies the first half of the input channels' rows while the
+    caller does the rest; the caller allocates and frees the column
+    buffer. The halves side by side equal the whole product where BLAS
+    gives each half the whole product's bits: at every layer of the
+    shipped geometries, not at every small shape.
     """
+    _, phases, w, b, _ = cache
+    dx = _conv1d_input_grad(dy, cache) if need_dx else None
+    c_in, kernel = phases.shape[0], w.shape[2]
+    cols = np.empty((c_in * kernel, dy.shape[1]), dtype=phases.dtype)
+    if executor is None:
+        kernel_grad = _kernel_grad_rows(dy, cache, cols, 0, c_in)
+    else:
+        half = c_in // 2
+        helper = Job(executor, _kernel_grad_rows, dy, cache, cols, 0, half)
+        helper.start()
+        own = _kernel_grad_rows(dy, cache, cols, half, c_in)
+        kernel_grad = np.concatenate([helper.wait(), own], axis=1)
+    w.add_grad(kernel_grad.reshape(w.shape))
+    b.add_grad(dy.sum(axis=1))
+    return dx
+
+
+def _kernel_grad_rows(dy: np.ndarray, cache, cols: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """`dy @ columns.T` for input channels c0..c1-1, their rows rebuilt into their rows of `cols`."""
     _, phases, w, _, stride = cache
     kernel = w.shape[2]
-    c0, c1, _ = channels.indices(phases.shape[0])
-    if cols is None:
-        cols = conv1d_columns(dy, cache)
     rows = _im2col(phases[c0:c1], kernel, stride, dy.shape[1], out=cols[c0 * kernel : c1 * kernel])
     return dy @ rows.T
 
 
-def conv1d_weight_vjp(dy: np.ndarray, cache, kernel_grad: np.ndarray | None = None) -> None:
-    """The weight half of `conv1d_vjp`: accumulate the kernel and bias gradients.
-
-    `kernel_grad` is `conv1d_kernel_grad` over all channels, if the caller
-    has computed it (in channel blocks, say); else it is computed here.
-    """
-    _, _, w, b, _ = cache
-    if kernel_grad is None:
-        kernel_grad = conv1d_kernel_grad(dy, cache)
-    w.add_grad(kernel_grad.reshape(w.shape))
-    b.add_grad(dy.sum(axis=1))
-
-
-def conv1d_input_vjp(dy: np.ndarray, cache) -> np.ndarray:
-    """The input half of `conv1d_vjp`: the gradient with respect to `x`; no `Tensor.grad` changes."""
+def _conv1d_input_grad(dy: np.ndarray, cache) -> np.ndarray:
+    """The gradient with respect to `x`: `W.T @ dy` scattered back to the input."""
     length, phases, w, _, stride = cache
     c_out, c_in, kernel = w.shape
     l_out = dy.shape[1]

@@ -9,11 +9,13 @@ Layout:
 
 The tensor table stores (name, shape, element offset) per entry, so the
 file is self-describing and round-trips bit-exactly at 32-bit precision.
-The payload ends where the table's last tensor ends. Tensors are written
-straight to a temporary file renamed over the target, so an existing
-archive is only ever replaced by a complete one. `ArchiveReader` reads
-the header and table first; a load then reads every payload as
-read-only views of one buffer, or only the tensors it restores.
+Each tensor starts where the one before it ends, the payload ends where
+the last one ends, and no name repeats; any other table is a corrupt
+header. Tensors are written straight to a temporary file renamed over
+the target, so an existing archive is only ever replaced by a complete
+one. `ArchiveReader` reads the header and table first; a load then
+reads every payload as read-only views of one buffer, or only the
+tensors it restores.
 """
 
 from __future__ import annotations
@@ -160,6 +162,13 @@ class ArchiveReader:
         for entry in entries:
             name, shape, offset = _table_entry(entry, path)
             start = payload_start + offset * 4
+            if name in table or start != table_end:
+                raise CheckpointError(
+                    CHECKPOINT_BAD_MAGIC,
+                    f"{path}: corrupt header (tensor {name!r} at element {offset}: names must "
+                    f"be unique and each tensor must start where the previous one ends, "
+                    f"{(table_end - payload_start) // 4})",
+                )
             end = start + math.prod(shape) * 4
             if end > size:
                 raise CheckpointError(
@@ -168,7 +177,7 @@ class ArchiveReader:
                     f"(need {end - payload_start} bytes, have {size - payload_start})",
                 )
             table[name] = (shape, start - payload_start)
-            table_end = max(table_end, end)
+            table_end = end
         if size > table_end:
             raise CheckpointError(
                 CHECKPOINT_TRAILING_BYTES,

@@ -202,10 +202,15 @@ def load_checkpoint(path: str | Path) -> tuple[WlannConfig, WlannParams, Archive
 
 
 def load_train_state(path: str | Path) -> TrainState:
-    """Rebuild a full training state (parameters + optimizer moments)."""
+    """Rebuild a full training state (parameters + optimizer moments).
+
+    A missing step, epoch or optimizer-step counter is as corrupt as a
+    malformed one: resuming at 0 with later moments would restart Adam's
+    bias correction and repeat the augmentation seeds.
+    """
     with ArchiveReader(path) as reader:
         metadata = reader.header.metadata
-        counters = {key: metadata.get(key, 0) for key in ("step", "epoch", "optimizer_steps")}
+        counters = {key: metadata.get(key) for key in ("step", "epoch", "optimizer_steps")}
         for key, value in counters.items():
             if type(value) is not int or value < 0:
                 raise CheckpointError(

@@ -1,5 +1,6 @@
 """Forward semantics of the numeric primitives against loop oracles."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlann.errors import ShapeError, ValidationError
+from wlann.model.config import WlannConfig
+from wlann.model.network import widest_layer
 from wlann.ndiff import (
     AttentionParams,
     GruCellParams,
@@ -24,7 +27,7 @@ from wlann.ndiff import (
 from wlann.ndiff import functional as F
 from wlann.ndiff.attention import multi_head_self_attention_vjp
 
-from conftest import traced_peak
+from conftest import separation_config, small_train_config, traced_peak
 
 
 def tensor(values, name="t"):
@@ -204,6 +207,30 @@ class TestConv1d:
         for got, want in ((y, ref_y), (dx, ref_dx), (w.grad, ref_w.grad), (b.grad, ref_b.grad)):
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("make_config", [WlannConfig, separation_config, small_train_config],
+                             ids=["default_8s", "separation_1s", "small"])
+    def test_split_vjp_bitwise_equal_to_one_thread(self, rng, dtype, make_config):
+        """At the widest layer of each shipped geometry, the executor's channel split keeps the bits."""
+        cfg = make_config()
+        i = widest_layer(cfg)
+        widths = (1, *cfg.cnn.channel_widths)
+        x = rng.standard_normal((widths[i], cfg.conv_lengths()[i])).astype(dtype)
+        w_data = rng.standard_normal((widths[i + 1], widths[i], cfg.cnn.kernel)).astype(dtype)
+        b_data = rng.standard_normal(widths[i + 1]).astype(dtype)
+        results = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for executor in (None, pool):
+                w, b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
+                y, cache = F.conv1d(x, w, b, cfg.cnn.strides[i])
+                dy = np.random.default_rng(3).standard_normal(y.shape).astype(dtype)
+                dx = F.conv1d_vjp(dy, cache, executor=executor)
+                results.append([dx, w.grad, b.grad])
+                del y, cache, dy, dx
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c_in,c_out,l_out,stride", [

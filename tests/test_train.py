@@ -200,14 +200,14 @@ class TestTwoThreadStep:
         owned = {id(t.data) for t in params.tensors()}
         widest = network.widest_layer(cfg)
         seen = []
-        input_vjp = F.conv1d_input_vjp
+        conv1d_vjp = F.conv1d_vjp
 
-        def recording(dy, cache):
+        def recording(dy, cache, **kwargs):
             if cache[2] is params.conv_layers[widest].w:
                 seen.append(sum(ref() is not None for ref in refs))
-            return input_vjp(dy, cache)
+            return conv1d_vjp(dy, cache, **kwargs)
 
-        monkeypatch.setattr(F, "conv1d_input_vjp", recording)
+        monkeypatch.setattr(F, "conv1d_vjp", recording)
         with ThreadPoolExecutor(max_workers=1) as pool:
             helper = pool if threads == 2 else None
             scores, cache = forward(example.waveform, example.base_spec, params, cfg, helper)
@@ -217,6 +217,24 @@ class TestTwoThreadStep:
             params.zero_grads()
             backward(focal_loss_vjp(1.0, loss_cache), cache, helper)
         assert refs and seen == [0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_conv1d_vjp_per_layer_per_example(self, monkeypatch, threads):
+        """Only the widest layer's call gets the executor, and only in the two-thread step."""
+        cfg = small_train_config()
+        widest = network.widest_layer(cfg)
+        calls = []
+        conv1d_vjp = F.conv1d_vjp
+
+        def recording(dy, cache, **kwargs):
+            calls.append((cache[2].name, kwargs.get("executor") is not None))
+            return conv1d_vjp(dy, cache, **kwargs)
+
+        monkeypatch.setattr(F, "conv1d_vjp", recording)
+        step = train_step if threads == 2 else serial_train_step
+        step(synthetic_batch(cfg, np.random.default_rng(5), n=2), TrainState.create(cfg))
+        layers = reversed(range(len(cfg.cnn.channel_widths)))
+        assert calls == [(f"cnn.{i}.w", threads == 2 and i == widest) for i in layers] * 2
 
     def test_no_thread_outlives_a_step(self):
         cfg = small_train_config()
@@ -381,6 +399,36 @@ class TestCheckpointArchive:
                      {**archive.metadata, key: value})
         with pytest.raises(CheckpointError) as err:
             load_train_state(path)
+        assert err.value.code == "bad_magic"
+
+    @pytest.mark.parametrize("removed", [("step", "optimizer_steps"), ("step",), ("epoch",),
+                                         ("optimizer_steps",)])
+    def test_missing_counter_code(self, tmp_path, removed):
+        cfg = small_train_config()
+        state = TrainState.create(cfg)
+        for _ in range(3):
+            train_step(synthetic_batch(cfg, np.random.default_rng(2), n=1), state)
+        path = tmp_path / "t.wlann"
+        save_checkpoint(path, state)
+        archive = load_archive(path)
+        metadata = {k: v for k, v in archive.metadata.items() if k not in removed}
+        save_archive(path, archive.kind, archive.config, archive.tensors, metadata)
+        with pytest.raises(CheckpointError, match=removed[0]) as err:
+            load_train_state(path)
+        assert err.value.code == "bad_magic"
+
+    @pytest.mark.parametrize("table", [
+        [("w", [2], 0), ("w", [2], 2)],
+        [("w", [2], 0), ("v", [1], 3)],
+        [("w", [4], 0), ("v", [2], 2)],
+        [("w", [2], 2), ("v", [2], 0)],
+    ], ids=["repeated_name", "gap", "overlap", "out_of_order"])
+    def test_table_must_tile_the_payload(self, tmp_path, table):
+        """Each table spans exactly the 16-byte payload, so only the tiling is wrong."""
+        entries = [{"name": name, "shape": shape, "offset": offset}
+                   for name, shape, offset in table]
+        with pytest.raises(CheckpointError, match="corrupt header") as err:
+            self.load_with_header(tmp_path / "t.wlann", {"tensors": entries})
         assert err.value.code == "bad_magic"
 
     def test_failed_write_keeps_previous_archive(self, tmp_path, rng, monkeypatch):
