@@ -108,11 +108,13 @@ def widest_layer(cfg: WlannConfig) -> int:
 
 
 def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
-                    after_widest: Callable[[], None] | None = None):
+                    after_widest: Callable[[], None] | None = None,
+                    executor: Executor | None = None):
     """(1, L) -> (F, T_common, C_w / F) time-frequency grid.
 
-    `after_widest`, if given, is called once the widest layer's convolution
-    has returned and its columns are freed.
+    The widest layer's convolution splits its column chunks with the
+    executor's thread, if one is given. `after_widest`, if given, is
+    called once that convolution has returned and its columns are freed.
     """
     if waveform.shape != (1, cfg.fixed_samples):
         raise ShapeError(f"waveform must be (1, {cfg.fixed_samples}), got {waveform.shape}")
@@ -120,7 +122,8 @@ def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
     x = waveform
     layer_caches = []
     for i, (layer, stride) in enumerate(zip(params.conv_layers, cfg.cnn.strides)):
-        y, c_conv = F.conv1d(x, layer.w, layer.b, stride)
+        y, c_conv = F.conv1d(x, layer.w, layer.b, stride,
+                             executor=executor if i == widest else None)
         if i == widest and after_widest is not None:
             after_widest()
         normed, c_ln = F.layer_norm(y.T, layer.ln_gain, layer.ln_shift)
@@ -139,10 +142,10 @@ def waveform_branch_vjp(dwo: np.ndarray, cache, executor: Executor | None = None
                         before_widest: Callable[[], None] | None = None):
     """Walk the conv stack from the top, one `conv1d_vjp` per layer.
 
-    The widest layer's kernel gradient is split with the executor's
-    thread, if one is given. `before_widest`, if given, is called before
-    that layer's VJP. Each layer's cache is dropped from `cache` as the
-    walk passes it.
+    The widest layer's GEMMs are split with the executor's thread, if
+    one is given. `before_widest`, if given, is called before that
+    layer's VJP. Each layer's cache is dropped from `cache` as the walk
+    passes it.
     """
     layer_caches, c_pool, cfg = cache
     widest = widest_layer(cfg)
@@ -261,12 +264,13 @@ def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, 
             executor: Executor | None = None):
     """Full forward pass; returns (scores, cache). Deterministic and pure.
 
-    With an executor, the spectrogram branch runs on its thread while the
-    caller runs the waveform branch above the widest conv layer. The
-    branches share no parameters, so every value is the same as without.
+    With an executor, its thread first takes the odd column chunks of
+    the widest conv layer, then runs the spectrogram branch while the
+    caller runs the waveform branch above that layer. The branches share
+    no parameters, so every value is the same as without.
     """
     ast = F.Job(executor, ast_branch, spec, params, cfg)
-    wo, c_wave = waveform_branch(waveform, params, cfg, after_widest=ast.start)
+    wo, c_wave = waveform_branch(waveform, params, cfg, after_widest=ast.start, executor=executor)
     ao, c_ast = ast.wait()
     fused, ast_channels = fuse(wo, ao)
     (scores, _), c_head = classify_head(fused, params, cfg)
@@ -278,9 +282,9 @@ def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None)
 
     With an executor, its thread runs the spectrogram branch's backward
     while the caller walks the conv layers above the widest, and then
-    half of the widest layer's kernel gradient. Each branch's activations
-    are freed as that branch finishes, and every job has ended when this
-    returns.
+    half of the widest layer's input and kernel gradient GEMMs. Each
+    branch's activations are freed as that branch finishes, and every
+    job has ended when this returns.
     """
     c_wave, c_ast, ast_channels, c_head = cache
     cache.clear()

@@ -67,6 +67,16 @@ class Job:
         return _call_once(self._call) if self._future is None else self._future.result()
 
 
+def run_lanes(executor: Executor | None, fn, lanes: list[tuple]) -> None:
+    """`fn(*lanes[0])` in the caller's thread while `fn(*lanes[1])`, if any, runs as a `Job`."""
+    helper = Job(executor, fn, *lanes[1]) if len(lanes) > 1 else None
+    if helper is not None:
+        helper.start()
+    fn(*lanes[0])
+    if helper is not None:
+        helper.wait()
+
+
 # ---------------------------------------------------------------------------
 # Convolution
 
@@ -104,13 +114,24 @@ def _column_chunks(l_out: int):
     return list(zip(starts, starts[1:] + [l_out]))
 
 
-def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
+def _split_chunks(chunks: list, executor: Executor | None) -> list[list]:
+    """The caller's chunks, then the executor thread's: the even ones, then the odd ones.
+
+    Without an executor, or with one chunk, the caller takes them all.
+    """
+    return [chunks] if executor is None or len(chunks) < 2 else [chunks[::2], chunks[1::2]]
+
+
+def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int, executor: Executor | None = None):
     """Valid cross-correlation: x (C_in, L) * w (C_out, C_in, K) -> (C_out, L_out).
 
     The cache keeps the input in phase layout (C_in, s, n), sample m*s + r
     at [:, r, m], zero-padded to n = L_out + ceil(K/s) - 1 phases: the size
     of the input plus under one stride. The backward rebuilds the im2col
-    columns from it instead of keeping them alive.
+    columns from it instead of keeping them alive. With an executor and
+    two or more column chunks, its thread builds and multiplies the odd
+    chunks while the caller does the even ones, each in a column buffer
+    the caller allocates.
     """
     c_in, length = x.shape
     c_out, c_in_w, kernel = w.shape
@@ -123,12 +144,22 @@ def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
     padded[:, :take] = x[:, :take]
     phases = padded.reshape(c_in, n, stride).transpose(0, 2, 1).copy()
     del padded
-    w2 = w.data.reshape(c_out, c_in * kernel)
+    rows = c_in * kernel
+    w2 = w.data.reshape(c_out, rows)
     y = np.empty((c_out, l_out), dtype=np.result_type(w.data, phases, b.data))
-    for a, e in _column_chunks(l_out):
-        cols = _im2col(phases[:, :, a : e + n - l_out], kernel, stride, e - a)
-        np.add(w2 @ cols, b.data[:, None], out=y[:, a:e])
-        del cols  # before the next chunk's columns are built
+
+    def multiply(chunks, buffer):
+        for a, e in chunks:
+            cols = _im2col(phases[:, :, a : e + n - l_out], kernel, stride, e - a,
+                           out=buffer[: rows * (e - a)].reshape(rows, e - a))
+            np.matmul(w2, cols, out=y[:, a:e])
+            y[:, a:e] += b.data[:, None]
+
+    lanes = _split_chunks(_column_chunks(l_out), executor)
+    # The caller allocates the helper's buffer too, so the peak does not
+    # depend on when the two threads run.
+    buffers = [np.empty(rows * max(e - a for a, e in chunks), phases.dtype) for chunks in lanes]
+    run_lanes(executor, multiply, list(zip(lanes, buffers)))
     cache = (length, phases, w, b, stride)
     return y, cache
 
@@ -137,44 +168,51 @@ def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor |
     """Accumulate the kernel and bias gradients; return the input gradient (None without `need_dx`).
 
     The input half runs first, so its `W.T @ dy` columns are freed before
-    the im2col columns are rebuilt. With an executor, its thread rebuilds
-    and multiplies the first half of the input channels' rows while the
-    caller does the rest; the caller allocates and frees the column
-    buffer. The halves side by side equal the whole product where BLAS
-    gives each half the whole product's bits: at every layer of the
-    shipped geometries, not at every small shape.
+    the im2col columns are rebuilt. With an executor, its thread takes the
+    odd forward column chunks of `W.T @ dy`, then rebuilds and multiplies
+    the first half of the input channels' rows for the kernel gradient,
+    while the caller does the rest; each thread writes its part into a
+    buffer the caller allocated. The parts side by side equal the whole
+    product where BLAS gives each part the whole product's bits: at every
+    layer of the shipped geometries, not at every small shape.
     """
-    _, phases, w, b, _ = cache
-    dx = _conv1d_input_grad(dy, cache) if need_dx else None
-    c_in, kernel = phases.shape[0], w.shape[2]
+    _, phases, w, b, stride = cache
+    dx = _conv1d_input_grad(dy, cache, executor) if need_dx else None
+    c_out, c_in, kernel = w.shape
     cols = np.empty((c_in * kernel, dy.shape[1]), dtype=phases.dtype)
-    if executor is None:
-        kernel_grad = _kernel_grad_rows(dy, cache, cols, 0, c_in)
-    else:
-        half = c_in // 2
-        helper = Job(executor, _kernel_grad_rows, dy, cache, cols, 0, half)
-        helper.start()
-        own = _kernel_grad_rows(dy, cache, cols, half, c_in)
-        kernel_grad = np.concatenate([helper.wait(), own], axis=1)
+    kernel_grad = np.empty((c_out, c_in * kernel), dtype=np.result_type(dy, phases))
+
+    def multiply(c0, c1):
+        k0, k1 = c0 * kernel, c1 * kernel
+        block = _im2col(phases[c0:c1], kernel, stride, dy.shape[1], out=cols[k0:k1])
+        np.matmul(dy, block.T, out=kernel_grad[:, k0:k1])
+
+    half = c_in // 2
+    run_lanes(executor, multiply, [(0, c_in)] if executor is None else [(half, c_in), (0, half)])
     w.add_grad(kernel_grad.reshape(w.shape))
     b.add_grad(dy.sum(axis=1))
     return dx
 
 
-def _kernel_grad_rows(dy: np.ndarray, cache, cols: np.ndarray, c0: int, c1: int) -> np.ndarray:
-    """`dy @ columns.T` for input channels c0..c1-1, their rows rebuilt into their rows of `cols`."""
-    _, phases, w, _, stride = cache
-    kernel = w.shape[2]
-    rows = _im2col(phases[c0:c1], kernel, stride, dy.shape[1], out=cols[c0 * kernel : c1 * kernel])
-    return dy @ rows.T
+def _conv1d_input_grad(dy: np.ndarray, cache, executor: Executor | None) -> np.ndarray:
+    """The gradient with respect to `x`: `W.T @ dy` scattered back to the input.
 
-
-def _conv1d_input_grad(dy: np.ndarray, cache) -> np.ndarray:
-    """The gradient with respect to `x`: `W.T @ dy` scattered back to the input."""
+    With an executor, the product runs over the forward's column chunks,
+    split between the two threads as the forward splits them.
+    """
     length, phases, w, _, stride = cache
     c_out, c_in, kernel = w.shape
     l_out = dy.shape[1]
-    dcols = (w.data.reshape(c_out, c_in * kernel).T @ dy).reshape(c_in, kernel, l_out)
+    w_t = w.data.reshape(c_out, c_in * kernel).T
+    dcols = np.empty((c_in * kernel, l_out), dtype=np.result_type(w.data, dy))
+
+    def multiply(chunks):
+        for a, e in chunks:
+            np.matmul(w_t, dy[:, a:e], out=dcols[:, a:e])
+
+    whole = [(0, l_out)] if executor is None else _column_chunks(l_out)
+    run_lanes(executor, multiply, [(chunks,) for chunks in _split_chunks(whole, executor)])
+    dcols = dcols.reshape(c_in, kernel, l_out)
     # Scatter back block by block: each sample m*s + r gets its taps j*s + r
     # in ascending j, i.e. ascending k, the order a per-tap loop would use.
     dphases = np.zeros(phases.shape, dtype=dy.dtype)

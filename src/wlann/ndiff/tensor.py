@@ -39,7 +39,12 @@ class Tensor:
         return self.data.dtype
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient buffer in place if it fits the data, else allocate one."""
+        grad = self.grad
+        if grad is not None and grad.shape == self.data.shape and grad.dtype == self.data.dtype:
+            grad.fill(0)
+        else:
+            self.grad = np.zeros_like(self.data)
 
     def add_grad(self, delta: np.ndarray) -> None:
         if delta.shape != self.data.shape:

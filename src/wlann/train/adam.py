@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from ..errors import NumericError
 from ..model.config import OptimizerConfig
+from ..ndiff.functional import run_lanes
 from ..ndiff.tensor import Tensor
 
 
@@ -29,37 +32,107 @@ class Adam:
         return {t.name: t for pair in zip(self.m, self.v) for t in pair}
 
     def global_grad_norm(self) -> float:
-        total = 0.0
-        for p in self.params:
-            if p.grad is not None:
-                total += float(np.sum(p.grad.astype(np.float64) ** 2))
-        return float(np.sqrt(total))
+        return _norm([_sum_of_squares(p.grad) for p in self.params])
 
     def step(self) -> None:
+        """Update every parameter, its moments and its array in place.
+
+        One helper thread, alive for this call only, takes half the
+        tensors (balanced by element count): it sums their squared
+        gradients, then updates them, while the caller does the rest.
+        Each tensor's arithmetic is the same in either thread, and the
+        sums are added in parameter order, so the bits are those of one
+        thread. A non-finite norm raises before any tensor changes.
+        """
         cfg = self.cfg
-        norm = self.global_grad_norm()
-        if not np.isfinite(norm):
-            raise NumericError(f"non-finite gradient norm at optimizer step {self.step_count + 1}")
-        scale = 1.0
-        if cfg.clip_norm > 0 and norm > cfg.clip_norm:
-            scale = cfg.clip_norm / norm
-        self.step_count += 1
-        correction1 = 1.0 - cfg.beta1**self.step_count
-        correction2 = 1.0 - cfg.beta2**self.step_count
-        for p, m_tensor, v_tensor in zip(self.params, self.m, self.v):
-            m, v = m_tensor.data, v_tensor.data
-            grad = (p.grad if p.grad is not None else np.zeros_like(p.data)) * scale
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * grad * grad
-            m_hat = m / correction1
-            v_hat = v / correction2
-            update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            if cfg.weight_decay > 0.0:
-                update = update + (cfg.learning_rate * cfg.weight_decay) * p.data
-            p.data = p.data - update
+        lanes = [(lane,) for lane in _balanced_halves([p.data.size for p in self.params])]
+        sums = [0.0] * len(self.params)
+
+        def add_squares(lane):
+            for i in lane:
+                sums[i] = _sum_of_squares(self.params[i].grad)
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="wlann-adam") as helper:
+            run_lanes(helper, add_squares, lanes)
+            norm = _norm(sums)
+            if not np.isfinite(norm):
+                raise NumericError(
+                    f"non-finite gradient norm at optimizer step {self.step_count + 1}")
+            scale = 1.0
+            if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+                scale = cfg.clip_norm / norm
+            self.step_count += 1
+            correction1 = 1.0 - cfg.beta1**self.step_count
+            correction2 = 1.0 - cfg.beta2**self.step_count
+
+            def update(lane):
+                for i in lane:
+                    _update(self.params[i], self.m[i].data, self.v[i].data, cfg, scale,
+                            correction1, correction2)
+
+            run_lanes(helper, update, lanes)
 
     def zero_grads(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+
+def _balanced_halves(sizes: list[int]) -> tuple[list[int], list[int]]:
+    """Indices split into two lists of about equal total size, each in index order.
+
+    The largest goes first, each onto the list with less so far.
+    """
+    lanes, loads = ([], []), [0, 0]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        k = 0 if loads[0] <= loads[1] else 1
+        lanes[k].append(i)
+        loads[k] += sizes[i]
+    return sorted(lanes[0]), sorted(lanes[1])
+
+
+def _sum_of_squares(grad: np.ndarray | None) -> float:
+    """The float64 sum of a gradient's squares (0.0 without one), in one temporary."""
+    if grad is None:
+        return 0.0
+    squares = grad.astype(np.float64)
+    np.square(squares, out=squares)
+    return float(squares.sum())
+
+
+def _norm(sums: list[float]) -> float:
+    total = 0.0
+    for value in sums:  # in parameter order, so the norm's bits do not depend on the split
+        total += value
+    return float(np.sqrt(total))
+
+
+def _update(p: Tensor, m: np.ndarray, v: np.ndarray, cfg: OptimizerConfig, scale: float,
+            correction1: float, correction2: float) -> None:
+    """One parameter's Adam update in place, with two scratch buffers.
+
+    Each operation and its operand grouping is that of the textbook form
+    `p - lr * (m / c1) / (sqrt(v / c2) + eps)`, with `(1 - beta2) * g * g`
+    multiplied left to right, so the bits are the same.
+    """
+    grad, update = np.empty_like(p.data), np.empty_like(p.data)
+    if p.grad is None:
+        grad.fill(0.0)
+    else:
+        np.multiply(p.grad, scale, out=grad)
+    m *= cfg.beta1
+    np.multiply(grad, 1.0 - cfg.beta1, out=update)
+    m += update
+    v *= cfg.beta2
+    np.multiply(grad, 1.0 - cfg.beta2, out=update)
+    update *= grad
+    v += update
+    np.divide(m, correction1, out=grad)
+    grad *= cfg.learning_rate
+    np.divide(v, correction2, out=update)
+    np.sqrt(update, out=update)
+    update += cfg.eps
+    np.divide(grad, update, out=update)
+    if cfg.weight_decay > 0.0:
+        np.multiply(p.data, cfg.learning_rate * cfg.weight_decay, out=grad)
+        update += grad
+    p.data -= update

@@ -86,9 +86,11 @@ def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, 
     the config's `augment` strengths and a seed derived from (config
     seed, step, batch index); all-zero strengths leave it unchanged.
     One helper thread, alive for this call only, runs the spectrogram
-    branch and the conv weight gradients next to the waveform branch.
-    The branches own disjoint parameters and each example's work ends
-    before the next begins, so the result is bitwise that of one thread.
+    branch and half of the widest conv layer's GEMMs next to the
+    waveform branch. The branches own disjoint parameters and each
+    example's work ends before the next begins, so the result is bitwise
+    that of one thread. `Adam.step` splits its update over a helper
+    thread of its own.
     """
     if not batch:
         raise ValidationError("training batch is empty")

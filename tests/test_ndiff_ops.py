@@ -34,6 +34,13 @@ def tensor(values, name="t"):
     return Tensor(np.asarray(values, dtype=np.float64), name=name)
 
 
+def widest_geometry(cfg):
+    """(C_in, C_out, input length, kernel, stride) of the config's widest conv layer."""
+    i = widest_layer(cfg)
+    widths = (1, *cfg.cnn.channel_widths)
+    return widths[i], widths[i + 1], cfg.conv_lengths()[i], cfg.cnn.kernel, cfg.cnn.strides[i]
+
+
 class TestTensor:
     def test_add_grad_rejects_another_dtype(self):
         p = Tensor(np.zeros(3, dtype=np.float32), name="p")
@@ -41,6 +48,19 @@ class TestTensor:
         with pytest.raises(ShapeError, match="dtype float64"):
             p.add_grad(np.ones(3, dtype=np.float64))
         np.testing.assert_array_equal(p.grad, np.ones(3, dtype=np.float32))
+
+    def test_zero_grad_reuses_a_fitting_buffer(self):
+        p = Tensor(np.zeros((2, 3), dtype=np.float32), name="p")
+        p.zero_grad()
+        buffer = p.grad
+        p.add_grad(np.ones((2, 3), dtype=np.float32))
+        p.zero_grad()
+        assert p.grad is buffer
+        np.testing.assert_array_equal(buffer, np.zeros((2, 3), dtype=np.float32))
+        p.data = np.zeros(4, dtype=np.float64)  # another shape and dtype: a new buffer
+        p.zero_grad()
+        assert p.grad is not buffer
+        assert p.grad.shape == (4,) and p.grad.dtype == np.float64 and not p.grad.any()
 
 
 @dataclass
@@ -209,24 +229,29 @@ class TestConv1d:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("make_config", [WlannConfig, separation_config, small_train_config],
-                             ids=["default_8s", "separation_1s", "small"])
-    def test_split_vjp_bitwise_equal_to_one_thread(self, rng, dtype, make_config):
-        """At the widest layer of each shipped geometry, the executor's channel split keeps the bits."""
-        cfg = make_config()
-        i = widest_layer(cfg)
-        widths = (1, *cfg.cnn.channel_widths)
-        x = rng.standard_normal((widths[i], cfg.conv_lengths()[i])).astype(dtype)
-        w_data = rng.standard_normal((widths[i + 1], widths[i], cfg.cnn.kernel)).astype(dtype)
-        b_data = rng.standard_normal(widths[i + 1]).astype(dtype)
+    @pytest.mark.parametrize("geometry", [
+        widest_geometry(WlannConfig()),  # two forward column chunks
+        widest_geometry(separation_config()),
+        widest_geometry(small_train_config()),
+        (1, 16, 5595 * 5 + 80, 80, 5),  # a 4096-column chunk, then a 1500-column one
+        (8, 8, 8192 * 4 + 80, 80, 4),  # two chunks, the second with the 1-column tail
+    ], ids=["default_8s", "separation_1s", "small", "l_out_5596", "l_out_8193"])
+    def test_split_vjp_bitwise_equal_to_one_thread(self, rng, dtype, geometry):
+        """With an executor, the forward's chunk split and the VJP's column and channel
+        splits keep the bits."""
+        c_in, c_out, length, kernel, stride = geometry
+        x = rng.standard_normal((c_in, length)).astype(dtype)
+        w_data = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
+        b_data = rng.standard_normal(c_out).astype(dtype)
         results = []
         with ThreadPoolExecutor(max_workers=1) as pool:
             for executor in (None, pool):
                 w, b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
-                y, cache = F.conv1d(x, w, b, cfg.cnn.strides[i])
-                dy = np.random.default_rng(3).standard_normal(y.shape).astype(dtype)
+                y, cache = F.conv1d(x, w, b, stride, executor=executor)
+                # A transposed view, as the network passes it.
+                dy = np.random.default_rng(3).standard_normal(y.shape[::-1]).astype(dtype).T
                 dx = F.conv1d_vjp(dy, cache, executor=executor)
-                results.append([dx, w.grad, b.grad])
+                results.append([y, dx, w.grad, b.grad])
                 del y, cache, dy, dx
         for got, want in zip(*results):
             assert got.dtype == want.dtype == dtype

@@ -20,7 +20,8 @@ import wlann
 from wlann.dataio import AudioClip
 from wlann.dsp import spec_augment
 from wlann.errors import CheckpointError, NumericError, ShapeError, StorageError
-from wlann.model import WlannParams, backward, forward, network, prepare_input
+from wlann.model import (WlannParams, backward, forward, network, predict_scores,
+                         prepare_input)
 from wlann.model.config import AugmentConfig, OptimizerConfig, WlannConfig
 from wlann.ndiff import ParamGroup, Tensor
 from wlann.ndiff import functional as F
@@ -42,6 +43,7 @@ from wlann.train import (
     train_step,
 )
 from wlann.train import checkpoint
+import wlann.train.adam as adam_module
 
 from conftest import float_arrays, separation_config, small_train_config, traced_peak
 
@@ -91,6 +93,108 @@ class TestAdam:
         p.add_grad(np.array([np.nan, 0.0]))
         with pytest.raises(NumericError):
             opt.step()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_bitwise_equal_to_out_of_place_reference(self, dtype):
+        """Clipping active, weight decay on, one parameter without a gradient; 3 steps."""
+        got_params, want_params = adam_tree(dtype), adam_tree(dtype)
+        got, want = Adam(got_params, ADAM_CFG), Adam(want_params, ADAM_CFG)
+        arrays = [t.data for t in [*got_params, *got.m, *got.v]]
+        before = set(threading.enumerate())
+        for step in range(3):
+            give_grads(got_params, step)
+            give_grads(want_params, step)
+            assert got.global_grad_norm() > ADAM_CFG.clip_norm
+            got.step()
+            reference_adam_step(want)
+            assert not set(threading.enumerate()) - before
+        assert all(t.data is a for t, a in zip([*got_params, *got.m, *got.v], arrays))
+        for g, w in zip([*got_params, *got.m, *got.v], [*want_params, *want.m, *want.v]):
+            assert g.data.dtype == w.data.dtype == dtype
+            assert np.array_equal(g.data, w.data), g.name
+
+    def test_non_finite_norm_leaves_every_tensor_untouched(self):
+        params = adam_tree(np.float32)
+        opt = Adam(params, ADAM_CFG)
+        give_grads(params, 0)
+        opt.step()
+        give_grads(params, 1)
+        params[3].grad[1, 2] = np.inf
+        tensors = [*params, *opt.m, *opt.v]
+        snapshot = [t.data.copy() for t in tensors]
+        with pytest.raises(NumericError, match="step 2"):
+            opt.step()
+        assert opt.step_count == 1
+        for t, kept in zip(tensors, snapshot):
+            assert np.array_equal(t.data, kept), t.name
+
+    def test_helper_error_propagates(self, monkeypatch):
+        params = adam_tree(np.float32)
+        opt = Adam(params, ADAM_CFG)
+        give_grads(params, 0)
+        before = set(threading.enumerate())
+        sum_of_squares = adam_module._sum_of_squares
+
+        def broken(grad):
+            if threading.current_thread() is not threading.main_thread():
+                raise ShapeError("helper failed")
+            return sum_of_squares(grad)
+
+        monkeypatch.setattr(adam_module, "_sum_of_squares", broken)
+        with pytest.raises(ShapeError, match="helper failed"):
+            opt.step()
+        assert opt.step_count == 0
+        assert not set(threading.enumerate()) - before
+
+
+ADAM_CFG = OptimizerConfig(learning_rate=1e-2, clip_norm=1.0, weight_decay=0.01)
+
+
+def adam_tree(dtype) -> list[Tensor]:
+    """Parameters of several sizes, so both of the step's threads get tensors."""
+    rng = np.random.default_rng(21)
+    shapes = [(40, 30), (7,), (200,), (3, 5), (64,), (12, 12)]
+    return [Tensor(rng.standard_normal(shape).astype(dtype), name=f"p{i}")
+            for i, shape in enumerate(shapes)]
+
+
+def give_grads(params, seed: int) -> None:
+    """Fresh gradients for every parameter but `p1`, which has none."""
+    rng = np.random.default_rng(seed)
+    for p in params:
+        p.zero_grad()
+        p.add_grad((3.0 * rng.standard_normal(p.shape)).astype(p.dtype))
+    params[1].grad = None
+
+
+def reference_adam_step(opt: Adam) -> None:
+    """The out-of-place Adam step, one temporary per operation, that the in-place step replaced."""
+    cfg = opt.cfg
+    total = 0.0
+    for p in opt.params:
+        if p.grad is not None:
+            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    assert np.isfinite(norm)
+    scale = 1.0
+    if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+        scale = cfg.clip_norm / norm
+    opt.step_count += 1
+    correction1 = 1.0 - cfg.beta1**opt.step_count
+    correction2 = 1.0 - cfg.beta2**opt.step_count
+    for p, m_tensor, v_tensor in zip(opt.params, opt.m, opt.v):
+        m, v = m_tensor.data, v_tensor.data
+        grad = (p.grad if p.grad is not None else np.zeros_like(p.data)) * scale
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad * grad
+        m_hat = m / correction1
+        v_hat = v / correction2
+        update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        if cfg.weight_decay > 0.0:
+            update = update + (cfg.learning_rate * cfg.weight_decay) * p.data
+        p.data = p.data - update
 
 
 class TestTrainStep:
@@ -160,6 +264,24 @@ def serial_train_step(batch, state) -> float:
     return total_loss * scale
 
 
+def record_conv_calls(monkeypatch) -> list[tuple[str, str, bool]]:
+    """(op, kernel name, executor given) for each `F.conv1d` and `F.conv1d_vjp` call, in order."""
+    calls = []
+    conv1d, conv1d_vjp = F.conv1d, F.conv1d_vjp
+
+    def recording_conv1d(x, w, b, stride, **kwargs):
+        calls.append(("conv1d", w.name, kwargs.get("executor") is not None))
+        return conv1d(x, w, b, stride, **kwargs)
+
+    def recording_vjp(dy, cache, **kwargs):
+        calls.append(("conv1d_vjp", cache[2].name, kwargs.get("executor") is not None))
+        return conv1d_vjp(dy, cache, **kwargs)
+
+    monkeypatch.setattr(F, "conv1d", recording_conv1d)
+    monkeypatch.setattr(F, "conv1d_vjp", recording_vjp)
+    return calls
+
+
 class TestTwoThreadStep:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_bitwise_equal_to_one_thread(self, dtype):
@@ -220,21 +342,26 @@ class TestTwoThreadStep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_conv1d_vjp_per_layer_per_example(self, monkeypatch, threads):
-        """Only the widest layer's call gets the executor, and only in the two-thread step."""
+        """Only the widest layer's calls, forward and backward, get the executor, and only in
+        the two-thread step."""
         cfg = small_train_config()
         widest = network.widest_layer(cfg)
-        calls = []
-        conv1d_vjp = F.conv1d_vjp
-
-        def recording(dy, cache, **kwargs):
-            calls.append((cache[2].name, kwargs.get("executor") is not None))
-            return conv1d_vjp(dy, cache, **kwargs)
-
-        monkeypatch.setattr(F, "conv1d_vjp", recording)
+        calls = record_conv_calls(monkeypatch)
         step = train_step if threads == 2 else serial_train_step
         step(synthetic_batch(cfg, np.random.default_rng(5), n=2), TrainState.create(cfg))
-        layers = reversed(range(len(cfg.cnn.channel_widths)))
-        assert calls == [(f"cnn.{i}.w", threads == 2 and i == widest) for i in layers] * 2
+        layers = list(range(len(cfg.cnn.channel_widths)))
+        example = [("conv1d", f"cnn.{i}.w", threads == 2 and i == widest) for i in layers]
+        example += [("conv1d_vjp", f"cnn.{i}.w", threads == 2 and i == widest)
+                    for i in reversed(layers)]
+        assert calls == example * 2
+
+    def test_predict_scores_passes_no_executor(self, monkeypatch):
+        cfg = small_train_config()
+        example = synthetic_batch(cfg, np.random.default_rng(4), n=1)[0]
+        calls = record_conv_calls(monkeypatch)
+        predict_scores(example.waveform, example.base_spec, WlannParams.create(cfg), cfg)
+        layers = range(len(cfg.cnn.channel_widths))
+        assert calls == [("conv1d", f"cnn.{i}.w", False) for i in layers]
 
     def test_no_thread_outlives_a_step(self):
         cfg = small_train_config()
