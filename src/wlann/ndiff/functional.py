@@ -197,8 +197,8 @@ def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor |
 def _conv1d_input_grad(dy: np.ndarray, cache, executor: Executor | None) -> np.ndarray:
     """The gradient with respect to `x`: `W.T @ dy` scattered back to the input.
 
-    With an executor, the product runs over the forward's column chunks,
-    split between the two threads as the forward splits them.
+    The product runs over the forward's column chunks, split between the
+    two threads as the forward splits them when there is an executor.
     """
     length, phases, w, _, stride = cache
     c_out, c_in, kernel = w.shape
@@ -210,8 +210,8 @@ def _conv1d_input_grad(dy: np.ndarray, cache, executor: Executor | None) -> np.n
         for a, e in chunks:
             np.matmul(w_t, dy[:, a:e], out=dcols[:, a:e])
 
-    whole = [(0, l_out)] if executor is None else _column_chunks(l_out)
-    run_lanes(executor, multiply, [(chunks,) for chunks in _split_chunks(whole, executor)])
+    lanes = _split_chunks(_column_chunks(l_out), executor)
+    run_lanes(executor, multiply, [(chunks,) for chunks in lanes])
     dcols = dcols.reshape(c_in, kernel, l_out)
     # Scatter back block by block: each sample m*s + r gets its taps j*s + r
     # in ascending j, i.e. ascending k, the order a per-tap loop would use.

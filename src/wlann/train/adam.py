@@ -31,9 +31,6 @@ class Adam:
         """Name -> moment tensor, m then v for each parameter in order."""
         return {t.name: t for pair in zip(self.m, self.v) for t in pair}
 
-    def global_grad_norm(self) -> float:
-        return _norm([_sum_of_squares(p.grad) for p in self.params])
-
     def step(self) -> None:
         """Update every parameter, its moments and its array in place.
 

@@ -229,16 +229,23 @@ class TestConv1d:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("geometry", [
-        widest_geometry(WlannConfig()),  # two forward column chunks
-        widest_geometry(separation_config()),
-        widest_geometry(small_train_config()),
-        (1, 16, 5595 * 5 + 80, 80, 5),  # a 4096-column chunk, then a 1500-column one
-        (8, 8, 8192 * 4 + 80, 80, 4),  # two chunks, the second with the 1-column tail
-    ], ids=["default_8s", "separation_1s", "small", "l_out_5596", "l_out_8193"])
-    def test_split_vjp_bitwise_equal_to_one_thread(self, rng, dtype, geometry):
+    @pytest.mark.parametrize("geometry,transposed_dy", [
+        pytest.param(geometry, transposed, id=name + ("_dy_view" if transposed else ""))
+        for name, geometry in [
+            ("default_8s", widest_geometry(WlannConfig())),  # two forward column chunks
+            ("separation_1s", widest_geometry(separation_config())),
+            ("small", widest_geometry(small_train_config())),
+            # a 4096-column chunk, then a 1500-column one
+            ("l_out_5596", (1, 16, 5595 * 5 + 80, 80, 5)),
+            # two chunks, the second with the 1-column tail
+            ("l_out_8193", (8, 8, 8192 * 4 + 80, 80, 4)),
+        ]
+        for transposed in (False, True)
+    ])
+    def test_split_vjp_bitwise_equal_to_one_thread(self, rng, dtype, geometry, transposed_dy):
         """With an executor, the forward's chunk split and the VJP's column and channel
-        splits keep the bits."""
+        splits keep the bits, for a C-contiguous `dy` and for the transposed view the
+        network passes."""
         c_in, c_out, length, kernel, stride = geometry
         x = rng.standard_normal((c_in, length)).astype(dtype)
         w_data = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
@@ -248,8 +255,8 @@ class TestConv1d:
             for executor in (None, pool):
                 w, b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
                 y, cache = F.conv1d(x, w, b, stride, executor=executor)
-                # A transposed view, as the network passes it.
-                dy = np.random.default_rng(3).standard_normal(y.shape[::-1]).astype(dtype).T
+                draw = np.random.default_rng(3).standard_normal
+                dy = draw(y.shape[::-1]).astype(dtype).T if transposed_dy else draw(y.shape).astype(dtype)
                 dx = F.conv1d_vjp(dy, cache, executor=executor)
                 results.append([y, dx, w.grad, b.grad])
                 del y, cache, dy, dx
@@ -276,6 +283,28 @@ class TestConv1d:
         expected = w.data.reshape(c_out, c_in * kernel) @ cols + b.data[:, None]
         assert y.dtype == expected.dtype == dtype
         assert np.array_equal(y, expected)
+
+    @pytest.mark.parametrize("transposed_dy", [False, True], ids=["dy_contiguous", "dy_view"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out,l_out,stride", [
+        (1, 16, 5596, 5),  # a 4096-column chunk, then a 1500-column one
+        (8, 8, 8193, 4),  # a 1-column tail joins the chunk before it
+    ])
+    def test_chunked_input_grad_bitwise_equal_to_whole_width_gemm(self, rng, dtype, c_in, c_out,
+                                                                  l_out, stride, transposed_dy):
+        """`W.T @ dy` over the forward's column chunks gives the whole-width product's bits."""
+        kernel = 80
+        assert l_out > F.FORWARD_CHUNK
+        x = rng.standard_normal((c_in, (l_out - 1) * stride + kernel)).astype(dtype)
+        w_data = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
+        b = Tensor(np.zeros(c_out, dtype), name="b")
+        dy = rng.standard_normal((l_out, c_out) if transposed_dy else (c_out, l_out)).astype(dtype)
+        dy = dy.T if transposed_dy else dy
+        _, cache = F.conv1d(x, Tensor(w_data.copy(), name="w"), b, stride)
+        dx = F.conv1d_vjp(dy, cache)
+        _, want = im2col_conv1d_reference(x, Tensor(w_data.copy(), name="w"), b, stride, dy)
+        assert dx.dtype == want.dtype == dtype
+        assert np.array_equal(dx, want)
 
     def test_forward_builds_columns_one_chunk_at_a_time(self, rng):
         """Past FORWARD_CHUNK output columns, the peak holds one chunk's columns, not all."""
