@@ -10,6 +10,7 @@ seven classes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -109,8 +110,10 @@ def patient_id_from_recording(recording_id: str) -> str:
 def _coerce_ms(value, field: str, where: str) -> int:
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise FormatError(f"{where}: {field} value {value!r} is not a number") from None
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise FormatError(f"{where}: {field} value {value!r} is not a finite number")
     if number != int(number):
         raise FormatError(f"{where}: {field} value {value!r} is not an integer millisecond count")
     return int(number)
@@ -125,13 +128,11 @@ def load_annotations(path: str | Path) -> list[RespiratoryEvent]:
     path = Path(path)
     recording_id = path.stem
     try:
-        text = path.read_text(encoding="utf-8")
+        document = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise StorageError(f"cannot read annotation file {path}: {exc}") from exc
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(document, dict) or "event_annotation" not in document:
         raise FormatError(f"{path}: missing 'event_annotation' list")
     entries = document["event_annotation"]

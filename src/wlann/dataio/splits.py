@@ -63,6 +63,8 @@ def load_manifest(path: str | Path) -> dict[str, str]:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise StorageError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not UTF-8 text ({exc})") from exc
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()

@@ -29,8 +29,9 @@ class AugmentConfig:
     freq_mask_count: int = 2
 
     def __post_init__(self) -> None:
-        if min(asdict(self).values()) < 0:
-            raise ConfigError(f"augmentation strengths must be >= 0, got {self}")
+        for value in asdict(self).values():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"augmentation strengths must be integers >= 0, got {self}")
 
 
 def _warp_positions(num_frames: int, pivot: int, shift: int) -> np.ndarray:

@@ -1,15 +1,16 @@
 """One configuration object governing every architectural hyperparameter.
 
 The same structure is serialized into checkpoints and reports, so any
-artifact is self-describing. Geometry that follows from the settings
-(frame counts, patch grids, fused channel width) is exposed as derived
-properties and validated once at construction.
+artifact is self-describing. Numeric fields declare their bounds beside
+their defaults (`ranged`); derived geometry (frame counts, patch grids,
+fused channel width) is exposed as properties. Both are checked at construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -18,18 +19,26 @@ import numpy as np
 from ..dataio.events import NUM_CLASSES
 from ..dsp import mel as meldsp
 from ..dsp.augment import AugmentConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, ShapeError
 from ..ndiff.functional import conv1d_output_length
+
+
+_SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+
+
+def ranged(default, **bounds):
+    """Declare a numeric field's default and its bounds, e.g. `ranged(0.9, ge=0, lt=1)`."""
+    return field(default=default, metadata={"bounds": bounds})
 
 
 @dataclass(frozen=True)
 class CnnBranchConfig:
     """Raw-waveform convolution stack: one entry stride per layer."""
 
-    kernel: int = 80
-    initial_stride: int = 5
-    block_strides: tuple[int, ...] = (4, 4, 4)
-    channel_widths: tuple[int, ...] = (64, 128, 240, 240)
+    kernel: int = ranged(80, ge=1)
+    initial_stride: int = ranged(5, ge=1)
+    block_strides: tuple[int, ...] = ranged((4, 4, 4), ge=1)
+    channel_widths: tuple[int, ...] = ranged((64, 128, 240, 240), ge=1)
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -45,46 +54,46 @@ class AstBranchConfig:
     """Spectrogram patch-transformer branch."""
 
     mel_bins: int = 128
-    patch_size: int = 16
-    patch_stride: int = 8
-    embed_dim: int = 64
-    depth: int = 2
-    heads: int = 4
+    patch_size: int = ranged(16, ge=1)
+    patch_stride: int = ranged(8, ge=1)
+    embed_dim: int = ranged(64, ge=1)
+    depth: int = ranged(2, ge=0)
+    heads: int = ranged(4, ge=1)
 
 
 @dataclass(frozen=True)
 class BandpassConfig:
-    order: int = 4
+    order: int = ranged(4, ge=1)
     low_hz: float = 40.0
     high_hz: float = 850.0
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0
-    weight_decay: float = 0.0
-    batch_size: int = 8
+    learning_rate: float = ranged(1e-4, ge=0)
+    beta1: float = ranged(0.9, ge=0, lt=1)
+    beta2: float = ranged(0.999, ge=0, lt=1)
+    eps: float = ranged(1e-8, gt=0)
+    clip_norm: float = ranged(1.0, ge=0)
+    weight_decay: float = ranged(0.0, ge=0)
+    batch_size: int = ranged(8, ge=1)
 
 
 @dataclass(frozen=True)
 class WlannConfig:
-    fixed_input_seconds: float = 8.0
+    fixed_input_seconds: float = ranged(8.0, gt=0)
     sample_rate_hz: int = 16000
     cnn: CnnBranchConfig = field(default_factory=CnnBranchConfig)
     ast: AstBranchConfig = field(default_factory=AstBranchConfig)
-    gru_hidden: int = 64
-    num_classes: int = 7
-    focal_gamma: float = 2.0
+    gru_hidden: int = ranged(64, ge=1)
+    num_classes: int = ranged(7, ge=2, le=NUM_CLASSES)
+    focal_gamma: float = ranged(2.0, ge=0)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     bandpass: BandpassConfig = field(default_factory=BandpassConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    init_std: float = 0.02
+    init_std: float = ranged(0.02, gt=0)
     dtype: str = "float32"
-    seed: int = 0
+    seed: int = ranged(0, ge=0)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -133,83 +142,52 @@ class WlannConfig:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
+        _check_numbers(self)
+        ast, cnn = self.ast, self.cnn
         if self.sample_rate_hz != meldsp.SAMPLE_RATE_HZ:
             raise ConfigError(
-                f"model sample rate must be {meldsp.SAMPLE_RATE_HZ} Hz, got {self.sample_rate_hz}"
+                f"sample_rate_hz must be {meldsp.SAMPLE_RATE_HZ}, got {self.sample_rate_hz}"
             )
-        if not (math.isfinite(self.fixed_input_seconds) and self.fixed_input_seconds > 0):
+        if ast.mel_bins != meldsp.MEL_BINS:
+            raise ConfigError(f"ast.mel_bins must be {meldsp.MEL_BINS}, got {ast.mel_bins}")
+        if len(cnn.channel_widths) != len(cnn.strides):
             raise ConfigError(
-                f"fixed_input_seconds must be positive and finite, got {self.fixed_input_seconds}"
-            )
-        for name, value in _float_fields(self):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.ast.mel_bins != meldsp.MEL_BINS:
-            raise ConfigError(f"mel_bins must be {meldsp.MEL_BINS}, got {self.ast.mel_bins}")
-        if len(self.cnn.channel_widths) != len(self.cnn.strides):
-            raise ConfigError(
-                f"{len(self.cnn.channel_widths)} channel widths for {len(self.cnn.strides)} strides"
+                f"{len(cnn.channel_widths)} channel widths for {len(cnn.strides)} strides"
             )
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if not 2 <= self.num_classes <= NUM_CLASSES:
-            raise ConfigError(f"num_classes must be in [2, {NUM_CLASSES}], got {self.num_classes}")
-        if self.focal_gamma < 0:
-            raise ConfigError("focal gamma must be >= 0")
-        if self.init_std <= 0:
-            raise ConfigError(f"init_std must be > 0, got {self.init_std}")
-        if self.ast.embed_dim % self.ast.heads != 0:
+        if ast.embed_dim % ast.heads != 0:
+            raise ConfigError(f"embed dim {ast.embed_dim} not divisible by {ast.heads} heads")
+        if ast.patch_size > ast.mel_bins or (ast.mel_bins - ast.patch_size) % ast.patch_stride:
             raise ConfigError(
-                f"embed dim {self.ast.embed_dim} not divisible by {self.ast.heads} heads"
+                f"patches of {ast.patch_size} bins at stride {ast.patch_stride} must tile "
+                f"the {ast.mel_bins} mel bins exactly"
             )
-        if (self.ast.mel_bins - self.ast.patch_size) % self.ast.patch_stride != 0:
+        if cnn.output_channels % self.freq_patches != 0:
             raise ConfigError(
-                "patch geometry must tile the mel axis exactly: "
-                f"({self.ast.mel_bins} - {self.ast.patch_size}) % {self.ast.patch_stride} != 0"
+                f"cnn width {cnn.output_channels} not divisible by {self.freq_patches} patch rows"
             )
-        if self.cnn.output_channels % self.freq_patches != 0:
+        if self.spec_frames < ast.patch_size:
             raise ConfigError(
-                f"waveform-branch channels {self.cnn.output_channels} must be divisible by "
-                f"the {self.freq_patches}-row patch grid"
+                f"fixed input yields {self.spec_frames} frames; patches need >= {ast.patch_size}"
             )
-        if self.fixed_samples < meldsp.WINDOW_SAMPLES:
-            raise ConfigError("fixed input shorter than one analysis window")
-        if self.spec_frames < self.ast.patch_size:
-            raise ConfigError(
-                f"fixed input yields {self.spec_frames} frames; patches need >= {self.ast.patch_size}"
-            )
-        if self.augment.freq_mask_width >= self.ast.mel_bins:
+        if self.augment.freq_mask_width >= ast.mel_bins:
             raise ConfigError("frequency mask width must be < mel_bins")
         warp = self.augment.time_warp_frames
         if warp > 0 and 2 * warp >= self.spec_frames:
             raise ConfigError(
-                f"time warp of {warp} frames needs more than {2 * warp} spectrogram frames, "
-                f"got {self.spec_frames}"
+                f"time warp of {warp} needs > {2 * warp} spectrogram frames, got {self.spec_frames}"
             )
         try:
-            lengths = self.conv_lengths()
-        except Exception as exc:
+            self.conv_lengths()
+        except ShapeError as exc:
             raise ConfigError(f"waveform stack does not fit the fixed input: {exc}") from exc
-        if lengths[-1] < 1:
-            raise ConfigError("waveform stack produces no frames")
         nyquist = self.sample_rate_hz / 2
         if not (0 < self.bandpass.low_hz < self.bandpass.high_hz < nyquist):
             raise ConfigError(
                 f"band edges ({self.bandpass.low_hz}, {self.bandpass.high_hz}) must be "
                 f"increasing and below Nyquist ({nyquist})"
             )
-        if self.bandpass.order < 1:
-            raise ConfigError(f"band-pass order must be >= 1, got {self.bandpass.order}")
-        opt = self.optimizer
-        if opt.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {opt.batch_size}")
-        if not (0 <= opt.beta1 < 1 and 0 <= opt.beta2 < 1):
-            raise ConfigError(f"Adam betas must lie in [0, 1), got ({opt.beta1}, {opt.beta2})")
-        if opt.eps <= 0:
-            raise ConfigError(f"Adam eps must be > 0, got {opt.eps}")
-        for name in ("learning_rate", "clip_norm", "weight_decay"):
-            if getattr(opt, name) < 0:
-                raise ConfigError(f"optimizer {name} must be >= 0, got {getattr(opt, name)}")
 
     # -- serialization ------------------------------------------------------
 
@@ -228,25 +206,25 @@ class WlannConfig:
     def from_dict(cls, data: dict) -> "WlannConfig":
         if isinstance(data, dict):
             data = {key: value for key, value in data.items() if key != "features"}
-        try:
-            return _from_dict(cls, data, "config")
-        except TypeError as exc:
-            raise ConfigError(f"config value of the wrong type: {exc}") from exc
+        return _from_dict(cls, data, "config")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "WlannConfig":
-        with Path(path).open("r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
+        return cls.from_dict(data)
 
 
 def _from_dict(cls, data, where: str):
     """Build dataclass `cls` from a JSON object, following its field declarations.
 
     A field whose default factory is a dataclass is a section and is
-    built recursively; a field with a tuple default takes `tuple(value)`.
+    built recursively; a JSON list becomes a tuple.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object, got {type(data).__name__}")
@@ -258,17 +236,38 @@ def _from_dict(cls, data, where: str):
         declared = declared_fields[key]
         if is_dataclass(declared.default_factory):
             value = _from_dict(declared.default_factory, value, f"{where}.{key}")
-        elif isinstance(declared.default, tuple):
+        elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
 
 
-def _float_fields(obj, prefix: str = ""):
-    """(dotted name, value) of every float in a config tree, sections walked."""
+def _check_numbers(obj, prefix: str = "") -> None:
+    """Check each number in a config tree against its field's kind and `ranged` bounds.
+
+    A field's default fixes its kind: an int (or a tuple of ints) takes
+    integers but not bools; a float takes finite ints or floats.
+    """
     for f in fields(obj):
-        value = getattr(obj, f.name)
+        name, value, default = f"{prefix}{f.name}", getattr(obj, f.name), f.default
+        bounds = f.metadata.get("bounds", {})
         if is_dataclass(value):
-            yield from _float_fields(value, f"{prefix}{f.name}.")
-        elif isinstance(value, float):
-            yield f"{prefix}{f.name}", value
+            _check_numbers(value, f"{name}.")
+        elif isinstance(default, tuple):
+            if not isinstance(value, tuple):
+                raise ConfigError(f"{name} must be a tuple, got {value!r}")
+            for i, item in enumerate(value):
+                _check_number(f"{name}[{i}]", item, type(default[0]), bounds)
+        elif type(default) in (int, float):
+            _check_number(name, value, type(default), bounds)
+
+
+def _check_number(name: str, value, kind: type, bounds) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if not all(getattr(operator, op)(value, bound) for op, bound in bounds.items()):
+        limits = " and ".join(f"{_SYMBOLS[op]} {bound}" for op, bound in bounds.items())
+        raise ConfigError(f"{name} must be {limits}, got {value}")

@@ -18,6 +18,8 @@ PRED_CLAMP_EPS = 1e-7
 
 
 def validate_target(target: np.ndarray) -> None:
+    if not np.all(np.isfinite(target)):
+        raise ValidationError("target distribution has non-finite entries")
     if np.any(target < 0):
         raise ValidationError("target distribution has negative entries")
     total = float(target.sum())

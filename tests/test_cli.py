@@ -123,7 +123,7 @@ class TestPipeline:
         out = tmp_path / "never.tns"
         assert run_cli("features", "--wav", str(wav), "--out", str(out),
                        "--config", str(config)) == 1
-        assert "error: fixed_input_seconds must be positive and finite" in capsys.readouterr().err
+        assert "error: fixed_input_seconds must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_features_partial_sample_wav_is_validation_error(self, workspace, tmp_path, capsys):
@@ -147,6 +147,49 @@ class TestPipeline:
         assert run_cli("train", "--data", str(workspace / "corpus"), "--config", str(config),
                        "--epochs", "1", "--out", str(out)) == 1
         assert "error: optimizer.learning_rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"{not json", "not a UTF-8 JSON document"),
+        (b'{"seed": 1}\xff', "not a UTF-8 JSON document"),
+        (b'{"ast": {"heads": 0}}', "ast.heads must be >= 1, got 0"),
+        (b'{"ast": {"patch_stride": 0}}', "ast.patch_stride must be >= 1, got 0"),
+        (b'{"seed": 1.5}', "seed must be an integer, got 1.5"),
+        (b'{"optimizer": {"batch_size": 2.5}}', "optimizer.batch_size must be an integer"),
+    ], ids=["not_json", "not_utf8", "zero_heads", "zero_patch_stride", "float_seed",
+            "float_batch_size"])
+    def test_train_bad_config_file_is_validation_error(self, workspace, tmp_path, capsys,
+                                                       payload, message):
+        config = tmp_path / "bad.json"
+        config.write_bytes(payload)
+        out = tmp_path / "never.wlann"
+        assert run_cli("train", "--data", str(workspace / "corpus"), "--config", str(config),
+                       "--epochs", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_non_utf8_annotation_is_validation_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "corpus"
+        data.mkdir()
+        (data / "p1_r.json").write_bytes(b'{"event_annotation": []}\xff')
+        (data / "p1_r.wav").write_bytes(b"")
+        out = tmp_path / "never.wlann"
+        assert run_cli("train", "--data", str(data), "--config", str(workspace / "config.json"),
+                       "--epochs", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "p1_r.json: not valid UTF-8 JSON" in err
+        assert not out.exists()
+
+    def test_train_non_utf8_manifest_is_validation_error(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(b"p1_r train\n\xff\xfe\n")
+        out = tmp_path / "never.wlann"
+        assert run_cli("train", "--data", str(workspace / "corpus"), "--manifest", str(manifest),
+                       "--config", str(workspace / "config.json"), "--epochs", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "manifest is not UTF-8 text" in err
         assert not out.exists()
 
     def test_train_eval_predict_cycle(self, workspace, capsys):
@@ -203,7 +246,7 @@ class TestPipeline:
         out = workspace / "never.wlann"
         assert run_cli("train", "--data", str(workspace / "corpus"), "--config",
                        str(workspace / "config.json"), "--batch-size", "0", "--out", str(out)) == 1
-        assert "batch size must be >= 1" in capsys.readouterr().err
+        assert "optimizer.batch_size must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -54,6 +54,26 @@ class TestLoadAnnotations:
         with pytest.raises(FormatError, match="end"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("text, value", [
+        ('{"start": 1e400, "end": 900, "type": "Normal"}', "inf"),
+        ('{"start": 0, "end": -1e400, "type": "Normal"}', "-inf"),
+        ('{"start": "nan", "end": 900, "type": "Normal"}', "'nan'"),
+        ('{"start": 0, "end": "Infinity", "type": "Normal"}', "'Infinity'"),
+        ('{"start": true, "end": 900, "type": "Normal"}', "True"),
+        ('{"start": 0, "end": false, "type": "Normal"}', "False"),
+    ], ids=["overflow_start", "overflow_end", "nan_string", "infinity_string", "true", "false"])
+    def test_non_finite_or_boolean_timestamp_rejected(self, tmp_path, text, value):
+        path = tmp_path / "p1_r.json"
+        path.write_text(f'{{"event_annotation": [{text}]}}')
+        with pytest.raises(FormatError, match=rf"p1_r\.json event 0: \w+ value {value} is not a finite"):
+            load_annotations(path)
+
+    def test_non_utf8_document_rejected(self, tmp_path):
+        path = tmp_path / "p1_r.json"
+        path.write_bytes(b'{"event_annotation": []}\xff')
+        with pytest.raises(FormatError, match="not valid UTF-8 JSON"):
+            load_annotations(path)
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "p1_r.json"
         path.write_text("<xml/>")

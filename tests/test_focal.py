@@ -102,6 +102,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             focal_loss(PRED, np.array([-0.1, 1.1, 0.0]), gamma=1.0)
 
+    @pytest.mark.parametrize("target", [[np.nan, 1.0, 0.0], [0.0, np.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValidationError, match="non-finite"):
+            focal_loss(PRED, np.array(target), gamma=1.0)
+
     def test_unnormalized_target_rejected(self):
         with pytest.raises(ValidationError):
             focal_loss(PRED, np.array([0.5, 0.2, 0.1]), gamma=1.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,12 +102,12 @@ class TestConfigValidation:
             WlannConfig(cnn=CnnBranchConfig(channel_widths=(64, 128, 240, 241)))
 
     def test_bandpass_order_enforced(self):
-        with pytest.raises(ConfigError, match="band-pass order"):
+        with pytest.raises(ConfigError, match=r"bandpass\.order must be >= 1"):
             WlannConfig(bandpass=BandpassConfig(order=0))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_enforced(self, batch_size):
-        with pytest.raises(ConfigError, match="batch size"):
+        with pytest.raises(ConfigError, match=r"optimizer\.batch_size must be >= 1"):
             WlannConfig(optimizer=OptimizerConfig(batch_size=batch_size))
 
     @pytest.mark.parametrize("strengths", [(-1, 24, 2), (5, -1, 2), (5, 24, -1), (0, -3, 0)])
@@ -135,7 +136,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_input_length_rejected(self, seconds):
-        with pytest.raises(ConfigError, match="positive and finite"):
+        with pytest.raises(ConfigError, match="fixed_input_seconds must be finite"):
             WlannConfig(fixed_input_seconds=seconds)
 
     @pytest.mark.parametrize("field", [
@@ -152,9 +153,9 @@ class TestConfigValidation:
         ("optimizer.learning_rate", -1e-3, "learning_rate must be >= 0"),
         ("optimizer.clip_norm", -1.0, "clip_norm must be >= 0"),
         ("optimizer.weight_decay", -1.0, "weight_decay must be >= 0"),
-        ("optimizer.beta1", 1.5, "betas must lie in"),
-        ("optimizer.beta1", 1.0, "betas must lie in"),
-        ("optimizer.beta2", -0.1, "betas must lie in"),
+        ("optimizer.beta1", 1.5, "beta1 must be >= 0 and < 1"),
+        ("optimizer.beta1", 1.0, "beta1 must be >= 0 and < 1"),
+        ("optimizer.beta2", -0.1, "beta2 must be >= 0 and < 1"),
         ("optimizer.eps", 0.0, "eps must be > 0"),
         ("init_std", -1.0, "init_std must be > 0"),
         ("init_std", 0.0, "init_std must be > 0"),
@@ -162,6 +163,33 @@ class TestConfigValidation:
     def test_out_of_range_training_setting_rejected(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             WlannConfig.from_dict(_set_field(WlannConfig().to_dict(), field, value))
+
+    @pytest.mark.parametrize("field, value", [
+        ("ast.heads", 0),
+        ("ast.patch_stride", 0),
+        ("cnn.kernel", 0),
+        ("cnn.channel_widths", (64, 0, 240, 240)),
+        ("ast.depth", -1),
+        ("gru_hidden", 0),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("optimizer.batch_size", 2.5),
+        ("bandpass.order", True),
+        ("focal_gamma", True),
+    ])
+    def test_bad_number_rejected_by_its_dotted_name(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}(\[\d+\])? must be"):
+            WlannConfig.from_dict(_set_field(WlannConfig().to_dict(), field, value))
+
+    def test_depth_zero_and_micro_config_stay_valid(self):
+        assert WlannConfig(ast=AstBranchConfig(depth=0)).ast.depth == 0
+        micro_config().validate()
+
+    @pytest.mark.parametrize("field", ["time_warp_frames", "freq_mask_width", "freq_mask_count"])
+    @pytest.mark.parametrize("value", [1.5, True, "2"])
+    def test_non_integer_augment_strength_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="augmentation strengths must be integers"):
+            AugmentConfig(**{field: value})
 
     def test_training_setting_boundaries_accepted(self):
         WlannConfig(optimizer=OptimizerConfig(
@@ -212,6 +240,46 @@ class TestConfigValidation:
     def test_wrongly_typed_payload_rejected(self, payload):
         with pytest.raises(ConfigError):
             WlannConfig.from_dict(payload)
+
+
+# Numeric fields without declared bounds: the feature extractor fixes the first two,
+# the band edges are checked against each other and Nyquist, and AugmentConfig (built
+# outside WlannConfig) checks its own strengths.
+UNBOUNDED_FIELDS = {
+    "sample_rate_hz", "ast.mel_bins", "bandpass.low_hz", "bandpass.high_hz",
+    "augment.time_warp_frames", "augment.freq_mask_width", "augment.freq_mask_count",
+}
+
+
+def _numeric_fields(cls, prefix=""):
+    """(dotted name, field) of every int, float or tuple-of-ints field in a config tree."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            yield from _numeric_fields(f.default_factory, f"{prefix}{f.name}.")
+        elif isinstance(f.default, (int, float, tuple)):
+            yield f"{prefix}{f.name}", f
+
+
+BOUNDED_FIELDS = [(n, f) for n, f in _numeric_fields(WlannConfig) if n not in UNBOUNDED_FIELDS]
+
+
+class TestConfigBoundsCoverage:
+    """Every number in the config tree either declares its bounds or is named above."""
+
+    def test_every_numeric_field_declares_bounds(self):
+        unbounded = {n for n, f in _numeric_fields(WlannConfig) if "bounds" not in f.metadata}
+        assert unbounded == UNBOUNDED_FIELDS
+        assert len(BOUNDED_FIELDS) == 23
+
+    @pytest.mark.parametrize("name, f", BOUNDED_FIELDS, ids=[n for n, _ in BOUNDED_FIELDS])
+    def test_each_declared_bound_is_enforced(self, name, f):
+        assert f.metadata["bounds"]
+        for op, bound in f.metadata["bounds"].items():
+            outside = {"ge": bound - 1, "gt": bound, "le": bound + 1, "lt": bound}[op]
+            if isinstance(f.default, tuple):
+                outside = (outside, *f.default[1:])
+            with pytest.raises(ConfigError, match=rf"^{re.escape(name)}(\[0\])? must be"):
+                WlannConfig.from_dict(_set_field(WlannConfig().to_dict(), name, outside))
 
 
 def _set_field(data: dict, dotted: str, value) -> dict:
