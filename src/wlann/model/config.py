@@ -81,7 +81,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class WlannConfig:
-    fixed_input_seconds: float = ranged(8.0, gt=0)
+    # Attention weights grow with the square of the clip: at 30 s the
+    # default transformer caches 4 x 5595^2 per block, ~0.5 GB in float32.
+    fixed_input_seconds: float = ranged(8.0, gt=0, le=30)
     sample_rate_hz: int = 16000
     cnn: CnnBranchConfig = field(default_factory=CnnBranchConfig)
     ast: AstBranchConfig = field(default_factory=AstBranchConfig)

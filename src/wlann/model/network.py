@@ -108,22 +108,16 @@ def widest_layer(cfg: WlannConfig) -> int:
 
 
 def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
-                    after_widest: Callable[[], None] | None = None,
-                    executor: Executor | None = None):
-    """(1, L) -> (F, T_common, C_w / F) time-frequency grid.
-
-    The widest layer's convolution splits its column chunks with the
-    executor's thread, if one is given. `after_widest`, if given, is
-    called once that convolution has returned and its columns are freed.
-    """
+                    after_widest: Callable[[], None] | None = None):
+    """(1, L) -> (F, T_common, C_w / F) time-frequency grid; `after_widest()`, if given,
+    runs once the widest layer's convolution has returned."""
     if waveform.shape != (1, cfg.fixed_samples):
         raise ShapeError(f"waveform must be (1, {cfg.fixed_samples}), got {waveform.shape}")
     widest = widest_layer(cfg)
     x = waveform
     layer_caches = []
     for i, (layer, stride) in enumerate(zip(params.conv_layers, cfg.cnn.strides)):
-        y, c_conv = F.conv1d(x, layer.w, layer.b, stride,
-                             executor=executor if i == widest else None)
+        y, c_conv = F.conv1d(x, layer.w, layer.b, stride)
         if i == widest and after_widest is not None:
             after_widest()
         normed, c_ln = F.layer_norm(y.T, layer.ln_gain, layer.ln_shift)
@@ -142,7 +136,7 @@ def waveform_branch_vjp(dwo: np.ndarray, cache, executor: Executor | None = None
                         before_widest: Callable[[], None] | None = None):
     """Walk the conv stack from the top, one `conv1d_vjp` per layer.
 
-    The widest layer's GEMMs are split with the executor's thread, if
+    The widest layer's kernel gradient runs on the executor's thread, if
     one is given. `before_widest`, if given, is called before that
     layer's VJP. Each layer's cache is dropped from `cache` as the walk
     passes it.
@@ -254,23 +248,20 @@ def classify_head_vjp(dscores: np.ndarray, cache):
 # Whole model
 
 
-# The helper thread's lane (`F.Job`). The widest conv layer sets the step's
-# memory peak, so its work runs only while the helper is idle or holds
-# memory the caller allocated for it: the peak is then the same from run
-# to run, whatever the two threads' timing.
+# The helper thread's lane (`F.Job`). The widest conv layer's work runs only while the
+# helper is idle or holds memory the caller allocated, whatever the threads' timing.
 
 
 def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
             executor: Executor | None = None):
     """Full forward pass; returns (scores, cache). Deterministic and pure.
 
-    With an executor, its thread first takes the odd column chunks of
-    the widest conv layer, then runs the spectrogram branch while the
-    caller runs the waveform branch above that layer. The branches share
-    no parameters, so every value is the same as without.
+    With an executor, its thread runs the spectrogram branch while the
+    caller runs the waveform branch above the widest conv layer. The
+    branches share no parameters, so every value is the same as without.
     """
     ast = F.Job(executor, ast_branch, spec, params, cfg)
-    wo, c_wave = waveform_branch(waveform, params, cfg, after_widest=ast.start, executor=executor)
+    wo, c_wave = waveform_branch(waveform, params, cfg, after_widest=ast.start)
     ao, c_ast = ast.wait()
     fused, ast_channels = fuse(wo, ao)
     (scores, _), c_head = classify_head(fused, params, cfg)
@@ -282,9 +273,9 @@ def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None)
 
     With an executor, its thread runs the spectrogram branch's backward
     while the caller walks the conv layers above the widest, and then
-    half of the widest layer's input and kernel gradient GEMMs. Each
-    branch's activations are freed as that branch finishes, and every
-    job has ended when this returns.
+    the widest layer's kernel gradient while the caller computes that
+    layer's input gradient. Each branch's activations are freed as that
+    branch finishes, and every job has ended when this returns.
     """
     c_wave, c_ast, ast_channels, c_head = cache
     cache.clear()

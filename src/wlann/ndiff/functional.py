@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 from .tensor import Tensor
 
 LAYER_NORM_EPS = 1e-8
-# Output columns per forward im2col GEMM. BLAS keeps each column's bits at
-# these widths; at a few hundred columns or fewer it takes other kernels.
-FORWARD_CHUNK = 4096
-MIN_TAIL = 1024
 # Python floats, not numpy scalars: under NEP 50 a np.float64 operand
 # would promote float32 activations to float64.
 _SQRT2 = math.sqrt(2.0)
@@ -49,9 +47,8 @@ class Job:
     """`fn(*args)`, run on the executor's thread from `start`, else in the caller's at `wait`.
 
     The job lets go of its arguments as it starts, so what only it holds
-    (the spectrogram cache in `backward`) is freed when it ends, not when
-    the `Job` is dropped, and not after `wait` has returned: a pool
-    thread still holds its work item for a moment after setting its result.
+    is freed when it ends, not when the `Job` is dropped, nor after `wait`
+    returns: a pool thread holds its work item a moment after the result.
     """
 
     def __init__(self, executor: Executor | None, fn, *args):
@@ -68,22 +65,73 @@ class Job:
 
 
 def run_lanes(executor: Executor | None, fn, lanes: list[tuple]) -> None:
-    """`fn(*lanes[0])` in the caller's thread while `fn(*lanes[1])`, if any, runs as a `Job`."""
-    helper = Job(executor, fn, *lanes[1]) if len(lanes) > 1 else None
-    if helper is not None:
-        helper.start()
+    """`fn(*lanes[0])` in the caller's thread while `fn(*lanes[1])` runs as a `Job`."""
+    helper = Job(executor, fn, *lanes[1])
+    helper.start()
     fn(*lanes[0])
-    if helper is not None:
-        helper.wait()
+    helper.wait()
 
 
 # ---------------------------------------------------------------------------
-# Convolution
+# Convolution: im2col GEMMs, or overlap-save FFT blocks where `uses_fft` holds
+
+FFT_SIZE = 64
 
 
 def _tap_blocks(kernel: int, stride: int):
     """Split taps 0..K-1 into blocks j of `stride` taps: (j, first tap, width)."""
     return [(j, j * stride, min(stride, kernel - j * stride)) for j in range(-(-kernel // stride))]
+
+
+def _fft_blocks(kernel: int, stride: int, l_out: int) -> tuple[int, int, int]:
+    """(taps per polyphase channel, outputs per FFT block, blocks) of the FFT path."""
+    taps = -(-kernel // stride)
+    step = FFT_SIZE - taps + 1
+    return taps, step, -(-l_out // step)
+
+
+def uses_fft(c_in: int, kernel: int, stride: int, l_out: int) -> bool:
+    """Whether `conv1d` takes the FFT path. Its per-bin GEMMs need many polyphase channels
+    (C_in*s) and blocks: in float32 it took a third of im2col's time at 256 channels and 142
+    blocks, and 1.6 to 3.3 times it at 5 channels or at 9 blocks."""
+    taps, step, blocks = _fft_blocks(kernel, stride, l_out)
+    return c_in * stride >= 32 and blocks >= 100 and taps - 1 <= step
+
+
+def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
+    """Valid cross-correlation: x (C_in, L) * w (C_out, C_in, K) -> (C_out, L_out)."""
+    if x.shape[0] != w.shape[1]:
+        raise ShapeError(f"input has {x.shape[0]} channels but weight expects {w.shape[1]}")
+    l_out = conv1d_output_length(x.shape[1], w.shape[2], stride)
+    path = conv1d_fft if uses_fft(x.shape[0], w.shape[2], stride, l_out) else _conv1d_im2col
+    return path(x, w, b, stride)
+
+
+def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor | None = None):
+    """Accumulate the kernel and bias gradients; return the input gradient (None without `need_dx`).
+
+    With an executor, the kernel gradient runs on its thread while the caller computes the
+    input gradient; without one, after it. The bits are the same either way.
+    """
+    length, saved, w, b, stride = cache
+    _, c_in, kernel = w.shape
+    # The helper writes into buffers allocated and held here: the peak does not depend on timing.
+    lend = (lambda *_: None) if executor is None else np.empty
+    w_grad = lend(w.shape, np.result_type(dy, w.data))
+    if np.iscomplexobj(saved):  # the FFT path's input spectra
+        spec = _block_spectra(dy, *_fft_blocks(kernel, stride, dy.shape[1])[1:])
+        scratch = lend((spec.shape[0], w.shape[0], saved.shape[1]), spec.dtype)
+        weight = Job(executor, _fft_kernel_grad, spec, saved, w.shape, stride, w_grad, scratch)
+        input_grad = partial(_fft_input_grad, spec, w, length, stride, dy.shape[1])
+    else:
+        scratch = lend((c_in * kernel, dy.shape[1]), saved.dtype)
+        weight = Job(executor, _im2col_kernel_grad, dy, saved, w.shape, stride, w_grad, scratch)
+        input_grad = partial(_im2col_input_grad, dy, saved, w, length, stride)
+    weight.start()
+    dx = input_grad() if need_dx else None
+    w.add_grad(weight.wait())
+    b.add_grad(dy.sum(axis=1))
+    return dx
 
 
 def _im2col(phases: np.ndarray, kernel: int, stride: int, l_out: int, out=None) -> np.ndarray:
@@ -101,118 +149,35 @@ def _im2col(phases: np.ndarray, kernel: int, stride: int, l_out: int, out=None) 
     return out
 
 
-def _column_chunks(l_out: int):
-    """[start, end) column ranges of the forward GEMM: FORWARD_CHUNK wide, the last to the end.
-
-    Starts sit on multiples of FORWARD_CHUNK and a tail under MIN_TAIL
-    columns joins the chunk before it, so every column comes out of a
-    GEMM tile laid out as in the whole-width product, bit for bit.
-    """
-    starts = list(range(0, l_out, FORWARD_CHUNK))
-    if len(starts) > 1 and l_out - starts[-1] < MIN_TAIL:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [l_out]))
-
-
-def _split_chunks(chunks: list, executor: Executor | None) -> list[list]:
-    """The caller's chunks, then the executor thread's: the even ones, then the odd ones.
-
-    Without an executor, or with one chunk, the caller takes them all.
-    """
-    return [chunks] if executor is None or len(chunks) < 2 else [chunks[::2], chunks[1::2]]
-
-
-def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int, executor: Executor | None = None):
-    """Valid cross-correlation: x (C_in, L) * w (C_out, C_in, K) -> (C_out, L_out).
-
-    The cache keeps the input in phase layout (C_in, s, n), sample m*s + r
-    at [:, r, m], zero-padded to n = L_out + ceil(K/s) - 1 phases: the size
-    of the input plus under one stride. The backward rebuilds the im2col
-    columns from it instead of keeping them alive. With an executor and
-    two or more column chunks, its thread builds and multiplies the odd
-    chunks while the caller does the even ones, each in a column buffer
-    the caller allocates.
-    """
+def _conv1d_im2col(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
+    """`W @ columns`. The cache keeps the input in phase layout (C_in, s, n), sample m*s + r
+    at [:, r, m], zero-padded to n = L_out + ceil(K/s) - 1; the backward rebuilds the columns."""
     c_in, length = x.shape
-    c_out, c_in_w, kernel = w.shape
-    if c_in != c_in_w:
-        raise ShapeError(f"input has {c_in} channels but weight expects {c_in_w}")
+    c_out, _, kernel = w.shape
     l_out = conv1d_output_length(length, kernel, stride)
     n = l_out + -(-kernel // stride) - 1
     take = min(length, n * stride)
-    padded = np.zeros((c_in, n * stride), dtype=x.dtype)
-    padded[:, :take] = x[:, :take]
-    phases = padded.reshape(c_in, n, stride).transpose(0, 2, 1).copy()
-    del padded
-    rows = c_in * kernel
-    w2 = w.data.reshape(c_out, rows)
-    y = np.empty((c_out, l_out), dtype=np.result_type(w.data, phases, b.data))
-
-    def multiply(chunks, buffer):
-        for a, e in chunks:
-            cols = _im2col(phases[:, :, a : e + n - l_out], kernel, stride, e - a,
-                           out=buffer[: rows * (e - a)].reshape(rows, e - a))
-            np.matmul(w2, cols, out=y[:, a:e])
-            y[:, a:e] += b.data[:, None]
-
-    lanes = _split_chunks(_column_chunks(l_out), executor)
-    # The caller allocates the helper's buffer too, so the peak does not
-    # depend on when the two threads run.
-    buffers = [np.empty(rows * max(e - a for a, e in chunks), phases.dtype) for chunks in lanes]
-    run_lanes(executor, multiply, list(zip(lanes, buffers)))
-    cache = (length, phases, w, b, stride)
-    return y, cache
+    phases = np.pad(x[:, :take], ((0, 0), (0, n * stride - take)))
+    phases = phases.reshape(c_in, n, stride).transpose(0, 2, 1).copy()
+    y = w.data.reshape(c_out, c_in * kernel) @ _im2col(phases, kernel, stride, l_out)
+    y += b.data[:, None]
+    return y, (length, phases, w, b, stride)
 
 
-def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor | None = None):
-    """Accumulate the kernel and bias gradients; return the input gradient (None without `need_dx`).
-
-    The input half runs first, so its `W.T @ dy` columns are freed before
-    the im2col columns are rebuilt. With an executor, its thread takes the
-    odd forward column chunks of `W.T @ dy`, then rebuilds and multiplies
-    the first half of the input channels' rows for the kernel gradient,
-    while the caller does the rest; each thread writes its part into a
-    buffer the caller allocated. The parts side by side equal the whole
-    product where BLAS gives each part the whole product's bits: at every
-    layer of the shipped geometries, not at every small shape.
-    """
-    _, phases, w, b, stride = cache
-    dx = _conv1d_input_grad(dy, cache, executor) if need_dx else None
-    c_out, c_in, kernel = w.shape
-    cols = np.empty((c_in * kernel, dy.shape[1]), dtype=phases.dtype)
-    kernel_grad = np.empty((c_out, c_in * kernel), dtype=np.result_type(dy, phases))
-
-    def multiply(c0, c1):
-        k0, k1 = c0 * kernel, c1 * kernel
-        block = _im2col(phases[c0:c1], kernel, stride, dy.shape[1], out=cols[k0:k1])
-        np.matmul(dy, block.T, out=kernel_grad[:, k0:k1])
-
-    half = c_in // 2
-    run_lanes(executor, multiply, [(0, c_in)] if executor is None else [(half, c_in), (0, half)])
-    w.add_grad(kernel_grad.reshape(w.shape))
-    b.add_grad(dy.sum(axis=1))
-    return dx
+def _im2col_kernel_grad(dy, phases, shape, stride, out=None, cols=None) -> np.ndarray:
+    """`dy @ columns.T` into `out`, the columns rebuilt into `cols` (each new if None)."""
+    c_out, c_in, kernel = shape
+    cols = _im2col(phases, kernel, stride, dy.shape[1], out=cols)
+    out = np.empty(shape, np.result_type(dy, cols)) if out is None else out
+    np.matmul(dy, cols.T, out=out.reshape(c_out, c_in * kernel))
+    return out
 
 
-def _conv1d_input_grad(dy: np.ndarray, cache, executor: Executor | None) -> np.ndarray:
-    """The gradient with respect to `x`: `W.T @ dy` scattered back to the input.
-
-    The product runs over the forward's column chunks, split between the
-    two threads as the forward splits them when there is an executor.
-    """
-    length, phases, w, _, stride = cache
+def _im2col_input_grad(dy, phases, w, length, stride) -> np.ndarray:
+    """`W.T @ dy` scattered back to the input."""
     c_out, c_in, kernel = w.shape
     l_out = dy.shape[1]
-    w_t = w.data.reshape(c_out, c_in * kernel).T
-    dcols = np.empty((c_in * kernel, l_out), dtype=np.result_type(w.data, dy))
-
-    def multiply(chunks):
-        for a, e in chunks:
-            np.matmul(w_t, dy[:, a:e], out=dcols[:, a:e])
-
-    lanes = _split_chunks(_column_chunks(l_out), executor)
-    run_lanes(executor, multiply, [(chunks,) for chunks in lanes])
-    dcols = dcols.reshape(c_in, kernel, l_out)
+    dcols = (w.data.reshape(c_out, c_in * kernel).T @ dy).reshape(c_in, kernel, l_out)
     # Scatter back block by block: each sample m*s + r gets its taps j*s + r
     # in ascending j, i.e. ascending k, the order a per-tap loop would use.
     dphases = np.zeros(phases.shape, dtype=dy.dtype)
@@ -222,6 +187,97 @@ def _conv1d_input_grad(dy: np.ndarray, cache, executor: Executor | None) -> np.n
     dx = np.zeros((c_in, length), dtype=dy.dtype)
     take = min(length, dphases.shape[2] * stride)
     dx[:, :take] = dphases.transpose(0, 2, 1).reshape(c_in, -1)[:, :take]
+    return dx
+
+
+def conv1d_fft(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
+    """`conv1d` on the FFT path, at any geometry whose taps fit one block: a stride-1 layer over
+    C_in*s polyphase channels (c = i*s + r holds samples m*s + r of channel i) with ceil(K/s)
+    taps, one GEMM per frequency bin over all FFT_SIZE-phase blocks. `scipy.fft` keeps the
+    input's precision and one worker, so bits repeat. The cache keeps the input's spectra.
+    """
+    from scipy.fft import irfft, rfft
+
+    c_in, length = x.shape
+    c_out, _, kernel = w.shape
+    l_out = conv1d_output_length(length, kernel, stride)
+    taps, step, blocks = _fft_blocks(kernel, stride, l_out)
+    if taps - 1 > step:
+        raise ShapeError(f"{taps} taps per phase do not fit {FFT_SIZE}-point blocks")
+    read = (l_out - 1) * stride + kernel
+    padded = np.pad(x[:, :read], ((0, 0), (0, ((blocks - 1) * step + FFT_SIZE) * stride - read)))
+    # frames[i, t, r, k] = padded[i, (t*step + k)*s + r]: phase k of block t.
+    frames = sliding_window_view(padded.reshape(c_in, -1, stride), FFT_SIZE, axis=1)[:, ::step]
+    x_spec = rfft(frames.transpose(3, 0, 2, 1), axis=0).reshape(-1, c_in * stride, blocks)
+    del frames, padded
+    # Correlation multiplies by the conjugated kernel spectrum; the first
+    # `step` samples of each block are free of wrap-around.
+    frames = irfft(np.matmul(_kernel_spectrum(w.data, stride), x_spec), FFT_SIZE, axis=0)[:step]
+    y = frames.transpose(1, 2, 0).reshape(c_out, blocks * step)[:, :l_out] + b.data[:, None]
+    return y, (length, x_spec, w, b, stride)
+
+
+conv1d_fft_vjp = conv1d_vjp  # follows either path's cache
+
+
+def _kernel_spectrum(w: np.ndarray, stride: int) -> np.ndarray:
+    """Conjugated spectra (bins, C_out, C_in*s) of the polyphase taps w[o, i, j*s + r] over j."""
+    from scipy.fft import rfft
+
+    c_out, c_in, kernel = w.shape
+    taps = -(-kernel // stride)
+    w_taps = np.pad(w, ((0, 0), (0, 0), (0, taps * stride - kernel)))
+    spec = rfft(w_taps.reshape(c_out, c_in, taps, stride).transpose(0, 1, 3, 2), FFT_SIZE)
+    w_spec = np.empty((spec.shape[-1], c_out, c_in * stride), dtype=spec.dtype)
+    return np.conjugate(spec.reshape(c_out, c_in * stride, -1).transpose(2, 0, 1), out=w_spec)
+
+
+def _block_spectra(dy: np.ndarray, step: int, blocks: int) -> np.ndarray:
+    """Conjugated spectra (bins, C_out, blocks) of `dy` in `step`-sample blocks, zero-padded."""
+    from scipy.fft import rfft
+
+    c_out, l_out = dy.shape
+    padded = np.pad(dy, ((0, 0), (0, blocks * step - l_out)))
+    frames = np.zeros((FFT_SIZE, c_out, blocks), dtype=dy.dtype)
+    frames[:step] = padded.reshape(c_out, blocks, step).transpose(2, 0, 1)
+    spec = rfft(frames, axis=0)
+    return np.conjugate(spec, out=spec)
+
+
+def _fft_kernel_grad(dy_spec, x_spec, shape, stride, out=None, products=None) -> np.ndarray:
+    """The first ceil(K/s) lags of Σ over blocks of conj(DY)·X, per bin into
+    `products`, are the kernel gradient, into `out` (each new if None)."""
+    from scipy.fft import irfft
+
+    c_out, c_in, kernel = shape
+    products = np.matmul(dy_spec, x_spec.transpose(0, 2, 1), out=products)
+    lags = irfft(np.ascontiguousarray(products.transpose(1, 2, 0)), FFT_SIZE)
+    # lags[o, i*s + r, j] is the gradient of w[o, i, j*s + r].
+    taps = lags[..., : -(-kernel // stride)].reshape(c_out, c_in, stride, -1)
+    out = np.empty(shape, lags.dtype) if out is None else out
+    np.copyto(out, taps.transpose(0, 1, 3, 2).reshape(c_out, c_in, -1)[..., :kernel])
+    return out
+
+
+def _fft_input_grad(dy_spec, w: Tensor, length, stride, l_out) -> np.ndarray:
+    """Each block's full convolution of `dy` with the kernel, overlap-added."""
+    from scipy.fft import irfft
+
+    _, c_in, kernel = w.shape
+    taps, step, blocks = _fft_blocks(kernel, stride, l_out)
+    # kernelᵀ · conj(DY) per bin is the conjugate of the wanted spectrum.
+    spec = np.matmul(_kernel_spectrum(w.data, stride).transpose(0, 2, 1), dy_spec)
+    np.conjugate(spec, out=spec)
+    frames = irfft(spec, FFT_SIZE, axis=0).reshape(FFT_SIZE, c_in, stride, blocks)
+    del spec
+    # samples[i, t, q, r] is input sample (t*step + q)*s + r.
+    samples = np.zeros((c_in, blocks + 1, step, stride), dtype=frames.dtype)
+    samples[:, :blocks] = frames[:step].transpose(1, 3, 0, 2)
+    samples[:, 1:, : taps - 1] += frames[step:].transpose(1, 3, 0, 2)
+    del frames
+    dx = np.zeros((c_in, length), dtype=samples.dtype)
+    read = min(length, (l_out - 1) * stride + kernel)
+    dx[:, :read] = samples.reshape(c_in, -1)[:, :read]
     return dx
 
 

@@ -34,15 +34,15 @@ class Adam:
     def step(self) -> None:
         """Update every parameter, its moments and its array in place.
 
-        One helper thread, alive for this call only, takes half the
-        tensors (balanced by element count): it sums their squared
-        gradients, then updates them, while the caller does the rest.
-        Each tensor's arithmetic is the same in either thread, and the
-        sums are added in parameter order, so the bits are those of one
-        thread. A non-finite norm raises before any tensor changes.
+        One helper thread, alive for this call only, sums the squared
+        gradients of half the tensors (by element count, one sum each),
+        then updates the second half of all elements, while the caller does
+        the rest. The update is elementwise and the sums are added in
+        parameter order, so the bits are those of one thread. A non-finite
+        norm raises before any tensor changes.
         """
         cfg = self.cfg
-        lanes = [(lane,) for lane in _balanced_halves([p.data.size for p in self.params])]
+        sizes = [p.data.size for p in self.params]
         sums = [0.0] * len(self.params)
 
         def add_squares(lane):
@@ -50,7 +50,7 @@ class Adam:
                 sums[i] = _sum_of_squares(self.params[i].grad)
 
         with ThreadPoolExecutor(max_workers=1, thread_name_prefix="wlann-adam") as helper:
-            run_lanes(helper, add_squares, lanes)
+            run_lanes(helper, add_squares, [(lane,) for lane in _balanced_halves(sizes)])
             norm = _norm(sums)
             if not np.isfinite(norm):
                 raise NumericError(
@@ -63,11 +63,11 @@ class Adam:
             correction2 = 1.0 - cfg.beta2**self.step_count
 
             def update(lane):
-                for i in lane:
-                    _update(self.params[i], self.m[i].data, self.v[i].data, cfg, scale,
-                            correction1, correction2)
+                for i, a, e in lane:
+                    _update(self.params[i], self.m[i].data, self.v[i].data, slice(a, e), cfg,
+                            scale, correction1, correction2)
 
-            run_lanes(helper, update, lanes)
+            run_lanes(helper, update, [(lane,) for lane in _flat_halves(sizes)])
 
     def zero_grads(self) -> None:
         for p in self.params:
@@ -75,16 +75,22 @@ class Adam:
 
 
 def _balanced_halves(sizes: list[int]) -> tuple[list[int], list[int]]:
-    """Indices split into two lists of about equal total size, each in index order.
-
-    The largest goes first, each onto the list with less so far.
-    """
+    """Two index lists of near-equal total size, in index order; largest first, to the lighter."""
     lanes, loads = ([], []), [0, 0]
     for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
         k = 0 if loads[0] <= loads[1] else 1
         lanes[k].append(i)
         loads[k] += sizes[i]
     return sorted(lanes[0]), sorted(lanes[1])
+
+
+def _flat_halves(sizes: list[int]) -> tuple[list, list]:
+    """(index, start, end) element ranges, counted across the tensors in order:
+    the first half of all elements, then the rest."""
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    cuts = [min(max(sum(sizes) // 2 - start, 0), size) for start, size in zip(starts, sizes)]
+    return ([(i, 0, cut) for i, cut in enumerate(cuts) if cut > 0],
+            [(i, cut, size) for i, (cut, size) in enumerate(zip(cuts, sizes)) if cut < size])
 
 
 def _sum_of_squares(grad: np.ndarray | None) -> float:
@@ -103,19 +109,21 @@ def _norm(sums: list[float]) -> float:
     return float(np.sqrt(total))
 
 
-def _update(p: Tensor, m: np.ndarray, v: np.ndarray, cfg: OptimizerConfig, scale: float,
-            correction1: float, correction2: float) -> None:
-    """One parameter's Adam update in place, with two scratch buffers.
+def _update(param: Tensor, m: np.ndarray, v: np.ndarray, span: slice, cfg: OptimizerConfig,
+            scale: float, correction1: float, correction2: float) -> None:
+    """Adam on one flat range of a parameter and its moments in place, with two scratch buffers.
 
     Each operation and its operand grouping is that of the textbook form
     `p - lr * (m / c1) / (sqrt(v / c2) + eps)`, with `(1 - beta2) * g * g`
     multiplied left to right, so the bits are the same.
     """
-    grad, update = np.empty_like(p.data), np.empty_like(p.data)
-    if p.grad is None:
+    p, g, m, v = (None if a is None else a.reshape(-1, copy=False)[span]
+                  for a in (param.data, param.grad, m, v))
+    grad, update = np.empty_like(p), np.empty_like(p)
+    if g is None:
         grad.fill(0.0)
     else:
-        np.multiply(p.grad, scale, out=grad)
+        np.multiply(g, scale, out=grad)
     m *= cfg.beta1
     np.multiply(grad, 1.0 - cfg.beta1, out=update)
     m += update
@@ -130,6 +138,6 @@ def _update(p: Tensor, m: np.ndarray, v: np.ndarray, cfg: OptimizerConfig, scale
     update += cfg.eps
     np.divide(grad, update, out=update)
     if cfg.weight_decay > 0.0:
-        np.multiply(p.data, cfg.learning_rate * cfg.weight_decay, out=grad)
+        np.multiply(p, cfg.learning_rate * cfg.weight_decay, out=grad)
         update += grad
-    p.data -= update
+    p -= update

@@ -86,7 +86,7 @@ def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, 
     the config's `augment` strengths and a seed derived from (config
     seed, step, batch index); all-zero strengths leave it unchanged.
     One helper thread, alive for this call only, runs the spectrogram
-    branch and half of the widest conv layer's GEMMs next to the
+    branch and the widest conv layer's kernel gradient next to the
     waveform branch. The branches own disjoint parameters and each
     example's work ends before the next begins, so the result is bitwise
     that of one thread. `Adam.step` splits its update over a helper

@@ -51,6 +51,11 @@ def small_train_config(**overrides) -> WlannConfig:
     return WlannConfig(**defaults)
 
 
+def fft_layer_config(**overrides) -> WlannConfig:
+    """`small_train_config` at 6 s: its widest layer (`cnn.1`, 4777 outputs) takes the FFT path."""
+    return small_train_config(fixed_input_seconds=6.0, **overrides)
+
+
 def separation_config(**overrides) -> WlannConfig:
     """The 1 s separation geometry (acceptance criterion 7), about 1.09M parameters."""
     defaults = dict(

@@ -131,6 +131,7 @@ def float32_cases(rng) -> dict:
 
     return {
         "conv1d": (values(2, 11), param(3, 2, 4), param(3), 2),
+        "conv1d_fft": (values(2, 266), param(3, 2, 7), param(3), 2),
         "linear": (values(5, 3), param(4, 3), param(4)),
         "gelu": (values(4, 5),),
         "sigmoid": (values(4, 5),),
@@ -181,6 +182,7 @@ class TestCriterion3GradientSuite:
             "bigru": (19, 87),
             "focal_loss": (1, 5),
             "end_to_end_micro_model": (57, 320),
+            "conv1d_fft": (3, 577),
         }
 
     def test_float32_inputs_give_float32_outputs(self, rng, grad_dtypes):
@@ -191,7 +193,9 @@ class TestCriterion3GradientSuite:
         for name, module in pairs.items():
             y, cache = getattr(module, name)(*cases[name])
             dx = getattr(module, f"{name}_vjp")(rng.standard_normal(y.shape).astype(np.float32), cache)
-            found = {a.dtype for a in float_arrays((y, cache, dx))}
+            # A cache may hold complex64 spectra (the FFT path): single precision too.
+            found = {a.dtype for a in float_arrays((y, dx))}
+            found |= {np.finfo(a.dtype).dtype for a in float_arrays(cache)}
             assert found == {np.dtype(np.float32)}, f"{name}: {found}"
         assert set(grad_dtypes) == {np.dtype(np.float32)}
 

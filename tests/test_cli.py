@@ -156,8 +156,10 @@ class TestPipeline:
         (b'{"ast": {"patch_stride": 0}}', "ast.patch_stride must be >= 1, got 0"),
         (b'{"seed": 1.5}', "seed must be an integer, got 1.5"),
         (b'{"optimizer": {"batch_size": 2.5}}', "optimizer.batch_size must be an integer"),
+        (b'{"fixed_input_seconds": 1e305}', "fixed_input_seconds must be > 0 and <= 30"),
+        (b'{"fixed_input_seconds": 1e6}', "fixed_input_seconds must be > 0 and <= 30"),
     ], ids=["not_json", "not_utf8", "zero_heads", "zero_patch_stride", "float_seed",
-            "float_batch_size"])
+            "float_batch_size", "overflowing_input_length", "input_length_1e6_s"])
     def test_train_bad_config_file_is_validation_error(self, workspace, tmp_path, capsys,
                                                        payload, message):
         config = tmp_path / "bad.json"

@@ -31,7 +31,6 @@ from wlann.model.config import (
     OptimizerConfig,
 )
 from wlann.model.network import widest_layer
-from wlann.ndiff.functional import FORWARD_CHUNK
 from wlann.verify import micro_config
 
 from conftest import float_arrays, separation_config, small_train_config, traced_peak
@@ -138,6 +137,14 @@ class TestConfigValidation:
     def test_non_finite_input_length_rejected(self, seconds):
         with pytest.raises(ConfigError, match="fixed_input_seconds must be finite"):
             WlannConfig(fixed_input_seconds=seconds)
+
+    @pytest.mark.parametrize("seconds", [30.5, 1e6, 1e305])
+    def test_input_length_above_30_s_rejected(self, seconds):
+        with pytest.raises(ConfigError, match=r"^fixed_input_seconds must be > 0 and <= 30, got"):
+            WlannConfig(fixed_input_seconds=seconds)
+
+    def test_input_length_of_30_s_accepted(self):
+        assert WlannConfig(fixed_input_seconds=30).fixed_samples == 480_000
 
     @pytest.mark.parametrize("field", [
         "focal_gamma", "init_std", "optimizer.learning_rate", "optimizer.beta1",
@@ -426,7 +433,7 @@ class TestStructuralIdentities:
         peak = traced_peak(lambda: predict_scores(waveform, spec, params, cfg))
         widest = widest_layer(cfg)
         rows = (1, *cfg.cnn.channel_widths)[widest] * cfg.cnn.kernel
-        columns = rows * min(cfg.conv_lengths()[widest + 1], FORWARD_CHUNK) * 4
+        columns = rows * cfg.conv_lengths()[widest + 1] * 4
         assert peak <= columns + 2 * 2**20, (peak, columns)
 
     def test_single_patch_column(self, rng):

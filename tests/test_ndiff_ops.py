@@ -27,7 +27,7 @@ from wlann.ndiff import (
 from wlann.ndiff import functional as F
 from wlann.ndiff.attention import multi_head_self_attention_vjp
 
-from conftest import separation_config, small_train_config, traced_peak
+from conftest import fft_layer_config, separation_config, small_train_config, traced_peak
 
 
 def tensor(values, name="t"):
@@ -206,14 +206,17 @@ class TestConv1d:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c_in,c_out,length,kernel,stride",
-                             CONV_GEOMETRIES + [(1, 8, 16000, 80, 5), (16, 8, 2000, 80, 4)])
+                             CONV_GEOMETRIES + [(1, 8, 16000, 80, 5), (16, 8, 2000, 80, 4),
+                                                (1, 16, 5595 * 5 + 80, 80, 5)])
     def test_bitwise_equal_to_full_im2col(self, rng, dtype, c_in, c_out, length, kernel, stride):
         """Same columns, same GEMMs, same per-sample sum order as the im2col reference.
 
         With one input channel the reference's columns are a strided view,
         which numpy's matmul hands to BLAS only for large enough outputs;
-        (1, 8, 16000, ...) is the small model's first layer, above that size.
+        (1, 8, 16000, ...) is the small model's first layer, above that size,
+        and (1, 16, 27975 + 80, ...) has 5596 output columns in one GEMM.
         """
+        assert not F.uses_fft(c_in, kernel, stride, (length - kernel) // stride + 1)
         x = rng.standard_normal((length, c_in)).astype(dtype).T  # a transposed view, as in the model
         w_data = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
         b_data = rng.standard_normal(c_out).astype(dtype)
@@ -232,20 +235,17 @@ class TestConv1d:
     @pytest.mark.parametrize("geometry,transposed_dy", [
         pytest.param(geometry, transposed, id=name + ("_dy_view" if transposed else ""))
         for name, geometry in [
-            ("default_8s", widest_geometry(WlannConfig())),  # two forward column chunks
+            ("default_8s", widest_geometry(WlannConfig())),  # FFT
             ("separation_1s", widest_geometry(separation_config())),
             ("small", widest_geometry(small_train_config())),
-            # a 4096-column chunk, then a 1500-column one
             ("l_out_5596", (1, 16, 5595 * 5 + 80, 80, 5)),
-            # two chunks, the second with the 1-column tail
-            ("l_out_8193", (8, 8, 8192 * 4 + 80, 80, 4)),
+            ("l_out_8193", (8, 8, 8192 * 4 + 80, 80, 4)),  # FFT
         ]
         for transposed in (False, True)
     ])
     def test_split_vjp_bitwise_equal_to_one_thread(self, rng, dtype, geometry, transposed_dy):
-        """With an executor, the forward's chunk split and the VJP's column and channel
-        splits keep the bits, for a C-contiguous `dy` and for the transposed view the
-        network passes."""
+        """With an executor, the kernel gradient computed on its thread keeps the bits,
+        for a C-contiguous `dy` and for the transposed view the network passes."""
         c_in, c_out, length, kernel, stride = geometry
         x = rng.standard_normal((c_in, length)).astype(dtype)
         w_data = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
@@ -254,7 +254,7 @@ class TestConv1d:
         with ThreadPoolExecutor(max_workers=1) as pool:
             for executor in (None, pool):
                 w, b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
-                y, cache = F.conv1d(x, w, b, stride, executor=executor)
+                y, cache = F.conv1d(x, w, b, stride)
                 draw = np.random.default_rng(3).standard_normal
                 dy = draw(y.shape[::-1]).astype(dtype).T if transposed_dy else draw(y.shape).astype(dtype)
                 dx = F.conv1d_vjp(dy, cache, executor=executor)
@@ -264,59 +264,63 @@ class TestConv1d:
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("c_in,c_out,l_out,stride", [
-        (1, 16, 5596, 5),  # a 4096-column chunk, then a 1500-column one
-        (8, 8, 8193, 4),  # a 1-column tail joins the chunk before it
-    ])
-    def test_chunked_forward_bitwise_equal_to_whole_width_gemm(self, rng, dtype, c_in, c_out,
-                                                               l_out, stride):
-        kernel = 80
-        assert l_out > F.FORWARD_CHUNK
-        x = rng.standard_normal((c_in, (l_out - 1) * stride + kernel)).astype(dtype)
-        w = Tensor(rng.standard_normal((c_out, c_in, kernel)).astype(dtype), name="w")
-        b = Tensor(rng.standard_normal(c_out).astype(dtype), name="b")
-        y, _ = F.conv1d(x, w, b, stride)
+    @pytest.mark.parametrize("config, fft_layers", [
+        (WlannConfig(), [1]),
+        (separation_config(), []),
+        (small_train_config(), []),
+        (fft_layer_config(), [1]),
+    ], ids=["default_8s", "separation_1s", "small", "small_6s"])
+    def test_fft_path_is_chosen_at_the_widest_8s_layer_only(self, config, fft_layers):
+        """The rule's choice per layer at the shipped and the tests' configs."""
+        widths = (1, *config.cnn.channel_widths)
+        lengths = config.conv_lengths()
+        chosen = [i for i, stride in enumerate(config.cnn.strides)
+                  if F.uses_fft(widths[i], config.cnn.kernel, stride, lengths[i + 1])]
+        assert chosen == fft_layers
 
-        windows = sliding_window_view(x, kernel, axis=1)[:, ::stride, :]
-        cols = np.ascontiguousarray(windows.transpose(0, 2, 1).reshape(c_in * kernel, l_out))
-        expected = w.data.reshape(c_out, c_in * kernel) @ cols + b.data[:, None]
-        assert y.dtype == expected.dtype == dtype
-        assert np.array_equal(y, expected)
-
-    @pytest.mark.parametrize("transposed_dy", [False, True], ids=["dy_contiguous", "dy_view"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("c_in,c_out,l_out,stride", [
-        (1, 16, 5596, 5),  # a 4096-column chunk, then a 1500-column one
-        (8, 8, 8193, 4),  # a 1-column tail joins the chunk before it
-    ])
-    def test_chunked_input_grad_bitwise_equal_to_whole_width_gemm(self, rng, dtype, c_in, c_out,
-                                                                  l_out, stride, transposed_dy):
-        """`W.T @ dy` over the forward's column chunks gives the whole-width product's bits."""
-        kernel = 80
-        assert l_out > F.FORWARD_CHUNK
-        x = rng.standard_normal((c_in, (l_out - 1) * stride + kernel)).astype(dtype)
+    @pytest.mark.parametrize("dtype, tolerance", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("geometry, direct", [
+        (widest_geometry(WlannConfig()), False),
+        ((8, 8, 8192 * 4 + 80, 80, 4), False),
+        ((2, 3, 266, 7, 2), True),  # the gradient suite's FFT entry
+        *[(geometry, True) for geometry in CONV_GEOMETRIES],
+    ], ids=["default_8s", "l_out_8193", "gradcheck", "k4_s2", "k7_s3", "k3_s1", "s5_k3", "k_eq_l",
+            "k20_s4"])
+    def test_fft_path_within_declared_bound_of_im2col(self, rng, dtype, tolerance, geometry,
+                                                      direct):
+        """Forward, input, kernel and bias gradients, in relative max-norm, where the rule
+        picks the FFT path and where it is called directly."""
+        c_in, c_out, length, kernel, stride = geometry
+        assert F.uses_fft(c_in, kernel, stride, (length - kernel) // stride + 1) != direct
+        x = rng.standard_normal((length, c_in)).astype(dtype).T
         w_data = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
-        b = Tensor(np.zeros(c_out, dtype), name="b")
-        dy = rng.standard_normal((l_out, c_out) if transposed_dy else (c_out, l_out)).astype(dtype)
-        dy = dy.T if transposed_dy else dy
-        _, cache = F.conv1d(x, Tensor(w_data.copy(), name="w"), b, stride)
+        b_data = rng.standard_normal(c_out).astype(dtype)
+        w, b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
+        y, cache = (F.conv1d_fft if direct else F.conv1d)(x, w, b, stride)
+        dy = rng.standard_normal(y.shape).astype(dtype)
         dx = F.conv1d_vjp(dy, cache)
-        _, want = im2col_conv1d_reference(x, Tensor(w_data.copy(), name="w"), b, stride, dy)
-        assert dx.dtype == want.dtype == dtype
-        assert np.array_equal(dx, want)
+        ref_w, ref_b = Tensor(w_data.copy(), name="w"), Tensor(b_data.copy(), name="b")
+        ref_y, ref_dx = im2col_conv1d_reference(x, ref_w, ref_b, stride, dy)
+        for got, want in ((y, ref_y), (dx, ref_dx), (w.grad, ref_w.grad), (b.grad, ref_b.grad)):
+            assert got.dtype == want.dtype == dtype
+            assert np.max(np.abs(got - want)) <= tolerance * np.max(np.abs(want))
+        unread = (y.shape[1] - 1) * stride + kernel
+        assert not dx[:, unread:].any()
 
-    def test_forward_builds_columns_one_chunk_at_a_time(self, rng):
-        """Past FORWARD_CHUNK output columns, the peak holds one chunk's columns, not all."""
-        c_in, c_out, kernel, stride, l_out = 16, 8, 80, 4, 3 * F.FORWARD_CHUNK
-        x = rng.standard_normal((c_in, (l_out - 1) * stride + kernel)).astype(np.float32)
+    def test_fft_forward_keeps_spectra_not_columns(self, rng):
+        """At the 8 s widest layer the FFT forward peaks well under its 80 MiB of im2col columns."""
+        c_in, c_out, length, kernel, stride = widest_geometry(WlannConfig())
+        x = rng.standard_normal((c_in, length)).astype(np.float32)
         w = Tensor(rng.standard_normal((c_out, c_in, kernel)).astype(np.float32), name="w")
         b = Tensor(np.zeros(c_out, np.float32), name="b")
+        F.conv1d(x, w, b, stride)  # first-call imports
         peak = traced_peak(lambda: F.conv1d(x, w, b, stride))
-        chunk_columns = c_in * kernel * F.FORWARD_CHUNK * 4
-        # The padded input and its phase copy (2 x), the output, one chunk's GEMM result.
-        rest = 2 * x.nbytes + 2 * c_out * l_out * 4
-        assert peak <= chunk_columns + rest + 2**16, (peak, chunk_columns, rest)
+        _, (_, x_spec, *_) = F.conv1d(x, w, b, stride)
+        # The padded input, the cached spectra, the kernel's and the product's
+        # spectra, its inverse, and the output with its block copy.
+        y_bytes = c_out * (length - kernel) // stride * 4
+        bound = x.nbytes + x_spec.nbytes + 2 * c_out * c_in * stride * 33 * 8 + 4 * y_bytes
+        assert peak <= bound < c_in * kernel * 4096 * 4, (peak, bound)
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):

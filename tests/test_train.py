@@ -45,7 +45,8 @@ from wlann.train import (
 from wlann.train import checkpoint
 import wlann.train.adam as adam_module
 
-from conftest import float_arrays, separation_config, small_train_config, traced_peak
+from conftest import (fft_layer_config, float_arrays, separation_config, small_train_config,
+                      traced_peak)
 
 
 def synthetic_batch(cfg, rng, n=4):
@@ -129,6 +130,21 @@ class TestAdam:
         assert opt.step_count == 1
         for t, kept in zip(tensors, snapshot):
             assert np.array_equal(t.data, kept), t.name
+
+    @pytest.mark.parametrize("sizes", [[1200, 7, 200, 15, 64, 144], [4_600_000, 3_400_000],
+                                       [1], [3, 1], [5, 5]])
+    def test_update_splits_by_flat_element_range(self, sizes):
+        """Two ranges, in element order, that cover each element once and differ by at most one."""
+        first, second = adam_module._flat_halves(sizes)
+        merged = []
+        for i, a, e in first + second:
+            if merged and merged[-1][0] == i and merged[-1][2] == a:
+                merged[-1] = (i, merged[-1][1], e)
+            else:
+                merged.append((i, a, e))
+        assert merged == [(i, 0, size) for i, size in enumerate(sizes)]
+        loads = [sum(e - a for _, a, e in lane) for lane in (first, second)]
+        assert sum(loads) == sum(sizes) and abs(loads[0] - loads[1]) <= 1
 
     def test_helper_error_propagates(self, monkeypatch):
         params = adam_tree(np.float32)
@@ -266,30 +282,43 @@ def serial_train_step(batch, state) -> float:
     return total_loss * scale
 
 
-def record_conv_calls(monkeypatch) -> list[tuple[str, str, bool]]:
-    """(op, kernel name, executor given) for each `F.conv1d` and `F.conv1d_vjp` call, in order."""
+def record_conv_calls(monkeypatch) -> list[tuple]:
+    """In call order: ("conv1d", kernel name) per `F.conv1d` call, ("conv1d_vjp", kernel name,
+    executor given) per `F.conv1d_vjp` call, and ("kernel_grad", run off the main thread) per
+    kernel-gradient pass, on either conv path."""
     calls = []
     conv1d, conv1d_vjp = F.conv1d, F.conv1d_vjp
 
-    def recording_conv1d(x, w, b, stride, **kwargs):
-        calls.append(("conv1d", w.name, kwargs.get("executor") is not None))
-        return conv1d(x, w, b, stride, **kwargs)
+    def recording_conv1d(x, w, b, stride):
+        calls.append(("conv1d", w.name))
+        return conv1d(x, w, b, stride)
 
     def recording_vjp(dy, cache, **kwargs):
         calls.append(("conv1d_vjp", cache[2].name, kwargs.get("executor") is not None))
         return conv1d_vjp(dy, cache, **kwargs)
 
+    def recording_pass(kernel_grad):
+        def run(*args):
+            calls.append(("kernel_grad", threading.current_thread() is not threading.main_thread()))
+            return kernel_grad(*args)
+        return run
+
     monkeypatch.setattr(F, "conv1d", recording_conv1d)
     monkeypatch.setattr(F, "conv1d_vjp", recording_vjp)
+    for name in ("_im2col_kernel_grad", "_fft_kernel_grad"):
+        monkeypatch.setattr(F, name, recording_pass(getattr(F, name)))
     return calls
 
 
 class TestTwoThreadStep:
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_bitwise_equal_to_one_thread(self, dtype):
+    @pytest.mark.parametrize("dtype, make_config", [
+        pytest.param(dtype, make_config, id=dtype + suffix)
+        for make_config, suffix in [(small_train_config, ""), (fft_layer_config, "-fft_layer")]
+        for dtype in ("float32", "float64")
+    ])
+    def test_bitwise_equal_to_one_thread(self, dtype, make_config):
         """Batch 2, so gradients accumulate across examples; time warp and frequency masks on."""
-        cfg = small_train_config(dtype=dtype, augment=AugmentConfig(time_warp_frames=2),
-                                 seed=8)
+        cfg = make_config(dtype=dtype, augment=AugmentConfig(time_warp_frames=2), seed=8)
         batch = synthetic_batch(cfg, np.random.default_rng(6), n=2)
         threaded, serial = TrainState.create(cfg), TrainState.create(cfg)
         for _ in range(3):
@@ -313,6 +342,28 @@ class TestTwoThreadStep:
 
         monkeypatch.setattr(network, target, broken)
         with pytest.raises(ShapeError, match=f"{target} failed"):
+            train_step(batch, state)
+        assert not set(threading.enumerate()) - before
+
+    @pytest.mark.parametrize("target, make_config", [
+        ("_im2col_kernel_grad", small_train_config),
+        ("_fft_kernel_grad", fft_layer_config),
+    ], ids=["im2col", "fft"])
+    def test_kernel_grad_error_on_the_helper_keeps_its_type(self, monkeypatch, target,
+                                                           make_config):
+        cfg = make_config()
+        state = TrainState.create(cfg)
+        batch = synthetic_batch(cfg, np.random.default_rng(7), n=1)
+        before = set(threading.enumerate())
+        kernel_grad = getattr(F, target)
+
+        def broken(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise NumericError("kernel gradient failed")
+            return kernel_grad(*args)
+
+        monkeypatch.setattr(F, target, broken)
+        with pytest.raises(NumericError, match="kernel gradient failed"):
             train_step(batch, state)
         assert not set(threading.enumerate()) - before
 
@@ -342,19 +393,24 @@ class TestTwoThreadStep:
             backward(focal_loss_vjp(1.0, loss_cache), cache, helper)
         assert refs and seen == [0]
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_conv1d_vjp_per_layer_per_example(self, monkeypatch, threads):
-        """Only the widest layer's calls, forward and backward, get the executor, and only in
-        the two-thread step."""
-        cfg = small_train_config()
+    @pytest.mark.parametrize("threads, make_config", [
+        pytest.param(threads, make_config, id=f"{threads}{suffix}")
+        for make_config, suffix in [(small_train_config, ""), (fft_layer_config, "-fft_layer")]
+        for threads in (1, 2)
+    ])
+    def test_one_conv1d_vjp_per_layer_per_example(self, monkeypatch, threads, make_config):
+        """Only the widest layer's VJP gets the executor, and only in the two-thread step;
+        its kernel-gradient pass then runs on the helper, every other one on the caller."""
+        cfg = make_config()
         widest = network.widest_layer(cfg)
         calls = record_conv_calls(monkeypatch)
         step = train_step if threads == 2 else serial_train_step
         step(synthetic_batch(cfg, np.random.default_rng(5), n=2), TrainState.create(cfg))
         layers = list(range(len(cfg.cnn.channel_widths)))
-        example = [("conv1d", f"cnn.{i}.w", threads == 2 and i == widest) for i in layers]
-        example += [("conv1d_vjp", f"cnn.{i}.w", threads == 2 and i == widest)
-                    for i in reversed(layers)]
+        example = [("conv1d", f"cnn.{i}.w") for i in layers]
+        for i in reversed(layers):
+            helper = threads == 2 and i == widest
+            example += [("conv1d_vjp", f"cnn.{i}.w", helper), ("kernel_grad", helper)]
         assert calls == example * 2
 
     def test_predict_scores_passes_no_executor(self, monkeypatch):
@@ -363,7 +419,7 @@ class TestTwoThreadStep:
         calls = record_conv_calls(monkeypatch)
         predict_scores(example.waveform, example.base_spec, WlannParams.create(cfg), cfg)
         layers = range(len(cfg.cnn.channel_widths))
-        assert calls == [("conv1d", f"cnn.{i}.w", False) for i in layers]
+        assert calls == [("conv1d", f"cnn.{i}.w") for i in layers]
 
     def test_no_thread_outlives_a_step(self):
         cfg = small_train_config()
