@@ -108,9 +108,10 @@ def widest_layer(cfg: WlannConfig) -> int:
 
 
 def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
-                    after_widest: Callable[[], None] | None = None):
+                    after_widest: Callable[[], None] | None = None, keep_cache: bool = True):
     """(1, L) -> (F, T_common, C_w / F) time-frequency grid; `after_widest()`, if given,
-    runs once the widest layer's convolution has returned."""
+    runs once the widest layer's convolution has returned. The cache is None without
+    `keep_cache`, and each layer's activations are freed as the next layer starts."""
     if waveform.shape != (1, cfg.fixed_samples):
         raise ShapeError(f"waveform must be (1, {cfg.fixed_samples}), got {waveform.shape}")
     widest = widest_layer(cfg)
@@ -123,13 +124,15 @@ def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
         normed, c_ln = F.layer_norm(y.T, layer.ln_gain, layer.ln_shift)
         activated, c_act = F.gelu(normed)
         x = activated.T
-        layer_caches.append((c_conv, c_ln, c_act))
+        if keep_cache:
+            layer_caches.append((c_conv, c_ln, c_act))
+        del y, c_conv, normed, c_ln, activated, c_act
 
     co = x.T  # (T_raw, C_w)
     pooled, c_pool = F.adaptive_mean_pool(co, cfg.time_patches)
     grid = pooled.reshape(cfg.time_patches, cfg.channel_groups, cfg.freq_patches)
     wo = np.ascontiguousarray(grid.transpose(2, 0, 1))  # (F, T, groups)
-    return wo, (layer_caches, c_pool, cfg)
+    return wo, (layer_caches, c_pool, cfg) if keep_cache else None
 
 
 def waveform_branch_vjp(dwo: np.ndarray, cache, executor: Executor | None = None,
@@ -167,8 +170,9 @@ def extract_patches(values: np.ndarray, patch: int, stride: int):
     return windows.reshape(f_p * t_p, patch * patch), (f_p, t_p)
 
 
-def ast_branch(spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig):
-    """(128, frames) -> (F, T_common, D) token grid.
+def ast_branch(spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
+               keep_cache: bool = True):
+    """(128, frames) -> (F, T_common, D) token grid; the cache is None without `keep_cache`.
 
     The block stack is pre-norm, so a final layer norm brings every token
     onto a common scale before fusion (the residual stream otherwise
@@ -188,10 +192,13 @@ def ast_branch(spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig):
     block_caches = []
     for block in params.blocks:
         tokens, c_block = transformer_block(tokens, block)
-        block_caches.append(c_block)
+        if keep_cache:
+            block_caches.append(c_block)
+        del c_block
     tokens, c_final = F.layer_norm(tokens, params.final_ln_gain, params.final_ln_shift)
     ao = tokens.reshape(f_p, t_p, cfg.ast.embed_dim)
-    return ao, (c_embed, block_caches, c_final, params.pos_embed, (f_p, t_p))
+    cache = (c_embed, block_caches, c_final, params.pos_embed, (f_p, t_p))
+    return ao, cache if keep_cache else None
 
 
 def ast_branch_vjp(dao: np.ndarray, cache):
@@ -253,19 +260,21 @@ def classify_head_vjp(dscores: np.ndarray, cache):
 
 
 def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
-            executor: Executor | None = None):
+            executor: Executor | None = None, keep_cache: bool = True):
     """Full forward pass; returns (scores, cache). Deterministic and pure.
 
     With an executor, its thread runs the spectrogram branch while the
     caller runs the waveform branch above the widest conv layer. The
     branches share no parameters, so every value is the same as without.
+    Without `keep_cache` the cache is None and no backward cache is held,
+    so the peak is one layer's working set; the scores are the same.
     """
-    ast = F.Job(executor, ast_branch, spec, params, cfg)
-    wo, c_wave = waveform_branch(waveform, params, cfg, after_widest=ast.start)
+    ast = F.Job(executor, ast_branch, spec, params, cfg, keep_cache)
+    wo, c_wave = waveform_branch(waveform, params, cfg, ast.start, keep_cache)
     ao, c_ast = ast.wait()
     fused, ast_channels = fuse(wo, ao)
     (scores, _), c_head = classify_head(fused, params, cfg)
-    return scores, [c_wave, c_ast, ast_channels, c_head]
+    return scores, [c_wave, c_ast, ast_channels, c_head] if keep_cache else None
 
 
 def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None) -> None:
@@ -291,5 +300,4 @@ def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None)
 def predict_scores(
     waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig
 ) -> np.ndarray:
-    scores, _ = forward(waveform, spec, params, cfg)
-    return scores
+    return forward(waveform, spec, params, cfg, keep_cache=False)[0]

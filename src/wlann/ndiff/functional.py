@@ -11,6 +11,7 @@ differences.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import Executor
 from functools import partial
 
@@ -76,6 +77,7 @@ def run_lanes(executor: Executor | None, fn, lanes: list[tuple]) -> None:
 # Convolution: im2col GEMMs, or overlap-save FFT blocks where `uses_fft` holds
 
 FFT_SIZE = 64
+GRAD_BLOCK_BYTES = 4 << 20  # per-bin products held at once by the FFT kernel gradient
 
 
 def _tap_blocks(kernel: int, stride: int):
@@ -92,10 +94,12 @@ def _fft_blocks(kernel: int, stride: int, l_out: int) -> tuple[int, int, int]:
 
 def uses_fft(c_in: int, kernel: int, stride: int, l_out: int) -> bool:
     """Whether `conv1d` takes the FFT path. Its per-bin GEMMs need many polyphase channels
-    (C_in*s) and blocks: in float32 it took a third of im2col's time at 256 channels and 142
-    blocks, and 1.6 to 3.3 times it at 5 channels or at 9 blocks."""
+    (C_in*s) and blocks. With the kernel spectrum built once, in float32, forward plus VJP
+    took 0.31 of im2col's time at 256 channels and 142 blocks and 0.44 at 512 and 35, but
+    2.4 times it at 5 channels and 1.15 at 960 channels and 9 blocks. Below 30 blocks the
+    layers (at 1 s: 18 blocks or fewer, under 2 ms to save each) keep im2col's bits."""
     taps, step, blocks = _fft_blocks(kernel, stride, l_out)
-    return c_in * stride >= 32 and blocks >= 100 and taps - 1 <= step
+    return c_in * stride >= 32 and blocks >= 30 and taps - 1 <= step
 
 
 def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
@@ -120,7 +124,8 @@ def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor |
     w_grad = lend(w.shape, np.result_type(dy, w.data))
     if np.iscomplexobj(saved):  # the FFT path's input spectra
         spec = _block_spectra(dy, *_fft_blocks(kernel, stride, dy.shape[1])[1:])
-        scratch = lend((spec.shape[0], w.shape[0], saved.shape[1]), spec.dtype)
+        rows = max(hi - lo for lo, hi in _row_blocks(w.shape[0], saved))
+        scratch = lend((spec.shape[0], rows, saved.shape[1]), spec.dtype)
         weight = Job(executor, _fft_kernel_grad, spec, saved, w.shape, stride, w_grad, scratch)
         input_grad = partial(_fft_input_grad, spec, w, length, stride, dy.shape[1])
     else:
@@ -212,12 +217,33 @@ def conv1d_fft(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
     del frames, padded
     # Correlation multiplies by the conjugated kernel spectrum; the first
     # `step` samples of each block are free of wrap-around.
-    frames = irfft(np.matmul(_kernel_spectrum(w.data, stride), x_spec), FFT_SIZE, axis=0)[:step]
+    frames = irfft(np.matmul(_weight_spectrum(w, stride), x_spec), FFT_SIZE, axis=0)[:step]
     y = frames.transpose(1, 2, 0).reshape(c_out, blocks * step)[:, :l_out] + b.data[:, None]
     return y, (length, x_spec, w, b, stride)
 
 
 conv1d_fft_vjp = conv1d_vjp  # follows either path's cache
+
+
+_SPECTRUM_LOCK = threading.Lock()
+
+
+def _weight_spectrum(w: Tensor, stride: int) -> np.ndarray:
+    """`_kernel_spectrum(w.data, stride)`, memoized in `w.spectrum`.
+
+    The memo is reused only while the stride and the weight's shape, dtype and
+    bytes equal its snapshot (bytes, not values: -0.0 == 0.0), so an in-place
+    update, a restore or a new `data` rebuilds it. The rebuild holds a lock:
+    threads sharing a weight build its spectrum once.
+    """
+    with _SPECTRUM_LOCK:
+        memo, data, bits = w.spectrum, w.data, f"u{w.data.dtype.itemsize}"
+        if (memo is None or memo[0] != stride or memo[1].dtype != data.dtype
+                or not np.array_equal(memo[1].view(bits), data.view(bits))):
+            memo = w.spectrum = None  # the stale spectrum is freed before the new one is built
+            snapshot = data.copy()
+            w.spectrum = (stride, snapshot, _kernel_spectrum(snapshot, stride))
+        return w.spectrum[2]
 
 
 def _kernel_spectrum(w: np.ndarray, stride: int) -> np.ndarray:
@@ -244,18 +270,32 @@ def _block_spectra(dy: np.ndarray, step: int, blocks: int) -> np.ndarray:
     return np.conjugate(spec, out=spec)
 
 
+def _row_blocks(c_out: int, x_spec: np.ndarray) -> list[tuple[int, int]]:
+    """Even blocks of output channels whose per-bin products against `x_spec` take at most
+    GRAD_BLOCK_BYTES where two rows fit. Numpy's product of two or more rows keeps the bits
+    of the whole GEMM; one row does not."""
+    row_bytes = x_spec.nbytes // x_spec.shape[2]
+    parts = max(1, min(c_out // 2, -(-c_out * row_bytes // GRAD_BLOCK_BYTES)))
+    edges = [c_out * k // parts for k in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _fft_kernel_grad(dy_spec, x_spec, shape, stride, out=None, products=None) -> np.ndarray:
-    """The first ceil(K/s) lags of Σ over blocks of conj(DY)·X, per bin into
-    `products`, are the kernel gradient, into `out` (each new if None)."""
+    """The first ceil(K/s) lags of Σ over blocks of conj(DY)·X are the kernel gradient, into
+    `out`. Built per block of output channels, whose per-bin products go into `products`
+    (each new if None), so no full-size spectrum or 64-lag transform is held at once."""
     from scipy.fft import irfft
 
     c_out, c_in, kernel = shape
-    products = np.matmul(dy_spec, x_spec.transpose(0, 2, 1), out=products)
-    lags = irfft(np.ascontiguousarray(products.transpose(1, 2, 0)), FFT_SIZE)
-    # lags[o, i*s + r, j] is the gradient of w[o, i, j*s + r].
-    taps = lags[..., : -(-kernel // stride)].reshape(c_out, c_in, stride, -1)
-    out = np.empty(shape, lags.dtype) if out is None else out
-    np.copyto(out, taps.transpose(0, 1, 3, 2).reshape(c_out, c_in, -1)[..., :kernel])
+    taps = -(-kernel // stride)
+    out = np.empty(shape, x_spec.real.dtype) if out is None else out
+    for lo, hi in _row_blocks(c_out, x_spec):
+        part = np.matmul(dy_spec[:, lo:hi], x_spec.transpose(0, 2, 1),
+                         out=None if products is None else products[:, : hi - lo])
+        # lags[o, i*s + r, j] is the gradient of w[lo + o, i, j*s + r].
+        lags = irfft(np.ascontiguousarray(part.transpose(1, 2, 0)), FFT_SIZE)[..., :taps]
+        lags = lags.reshape(hi - lo, c_in, stride, taps).transpose(0, 1, 3, 2)
+        out[lo:hi] = lags.reshape(hi - lo, c_in, -1)[..., :kernel]
     return out
 
 
@@ -266,7 +306,7 @@ def _fft_input_grad(dy_spec, w: Tensor, length, stride, l_out) -> np.ndarray:
     _, c_in, kernel = w.shape
     taps, step, blocks = _fft_blocks(kernel, stride, l_out)
     # kernelᵀ · conj(DY) per bin is the conjugate of the wanted spectrum.
-    spec = np.matmul(_kernel_spectrum(w.data, stride).transpose(0, 2, 1), dy_spec)
+    spec = np.matmul(_weight_spectrum(w, stride).transpose(0, 2, 1), dy_spec)
     np.conjugate(spec, out=spec)
     frames = irfft(spec, FFT_SIZE, axis=0).reshape(FFT_SIZE, c_in, stride, blocks)
     del spec

@@ -21,14 +21,20 @@ from ..errors import ShapeError
 
 
 class Tensor:
-    """An n-dimensional parameter array plus its gradient accumulator."""
+    """An n-dimensional parameter array plus its gradient accumulator.
 
-    __slots__ = ("name", "data", "grad")
+    `spectrum` is the FFT convolution path's memo of this weight's kernel
+    spectrum: (stride, a copy of `data`, spectrum), or None. It is reused
+    only while `data` holds the copied bytes, so writes need not reset it.
+    """
+
+    __slots__ = ("name", "data", "grad", "spectrum")
 
     def __init__(self, data, name: str = ""):
         self.data = np.asarray(data)
         self.name = name
         self.grad: np.ndarray | None = None
+        self.spectrum: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,23 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def spectrum_builds(monkeypatch, delay: float = 0.0) -> list[tuple]:
+    """(weight shape, stride) of every FFT kernel-spectrum build, in order; each build
+    first sleeps `delay` seconds."""
+    from wlann.ndiff import functional as F
+
+    builds = []
+    build = F._kernel_spectrum
+
+    def counting(w, stride):
+        builds.append((w.shape, stride))
+        time.sleep(delay)
+        return build(w, stride)
+
+    monkeypatch.setattr(F, "_kernel_spectrum", counting)
+    return builds
 
 
 def raw_wav_bytes(payload: bytes, channels=1, rate=8000, bits=16, audio_format=1) -> bytes:

@@ -436,6 +436,21 @@ class TestStructuralIdentities:
         columns = rows * cfg.conv_lengths()[widest + 1] * 4
         assert peak <= columns + 2 * 2**20, (peak, columns)
 
+    def test_predict_keeps_no_backward_cache_at_8s(self, rng):
+        """At the default 8 s config the forward without caches gives the same scores, and
+        `predict_scores` peaks under 64 MiB (the forward that keeps them: ~134 MiB)."""
+        cfg = WlannConfig()
+        params = WlannParams.create(cfg)
+        waveform = rng.uniform(-0.5, 0.5, (1, cfg.fixed_samples)).astype(np.float32)
+        spec = LogMelSpectrogram(values=rng.standard_normal((128, cfg.spec_frames)))
+        scores = predict_scores(waveform, spec, params, cfg)  # first-call imports and spectra
+        kept, cache = forward(waveform, spec, params, cfg)
+        assert cache is not None and scores.tobytes() == kept.tobytes()
+        del cache
+        assert forward(waveform, spec, params, cfg, keep_cache=False)[1] is None
+        peak = traced_peak(lambda: predict_scores(waveform, spec, params, cfg))
+        assert peak <= 64 * 2**20, peak
+
     def test_single_patch_column(self, rng):
         """Inputs with exactly 16 frames produce a 15 x 1 token grid."""
         cfg = WlannConfig(

@@ -1,5 +1,7 @@
 """Forward semantics of the numeric primitives against loop oracles."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +29,8 @@ from wlann.ndiff import (
 from wlann.ndiff import functional as F
 from wlann.ndiff.attention import multi_head_self_attention_vjp
 
-from conftest import fft_layer_config, separation_config, small_train_config, traced_peak
+from conftest import (fft_layer_config, separation_config, small_train_config, spectrum_builds,
+                      traced_peak)
 
 
 def tensor(values, name="t"):
@@ -265,13 +268,14 @@ class TestConv1d:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("config, fft_layers", [
-        (WlannConfig(), [1]),
+        (WlannConfig(), [1, 2]),
         (separation_config(), []),
         (small_train_config(), []),
         (fft_layer_config(), [1]),
     ], ids=["default_8s", "separation_1s", "small", "small_6s"])
-    def test_fft_path_is_chosen_at_the_widest_8s_layer_only(self, config, fft_layers):
-        """The rule's choice per layer at the shipped and the tests' configs."""
+    def test_fft_path_is_chosen_per_layer(self, config, fft_layers):
+        """The rule's choice per layer at the shipped and the tests' configs: 8 s `cnn.1` (142
+        blocks) and `cnn.2` (35), not `cnn.3` (9), nor 6 s `cnn.2` (27) or any 1 s layer."""
         widths = (1, *config.cnn.channel_widths)
         lengths = config.conv_lengths()
         chosen = [i for i, stride in enumerate(config.cnn.strides)
@@ -282,10 +286,11 @@ class TestConv1d:
     @pytest.mark.parametrize("geometry, direct", [
         (widest_geometry(WlannConfig()), False),
         ((8, 8, 8192 * 4 + 80, 80, 4), False),
+        ((128, 240, 6377, 80, 4), False),  # 8 s `cnn.2`
         ((2, 3, 266, 7, 2), True),  # the gradient suite's FFT entry
         *[(geometry, True) for geometry in CONV_GEOMETRIES],
-    ], ids=["default_8s", "l_out_8193", "gradcheck", "k4_s2", "k7_s3", "k3_s1", "s5_k3", "k_eq_l",
-            "k20_s4"])
+    ], ids=["default_8s", "l_out_8193", "default_8s_cnn2", "gradcheck", "k4_s2", "k7_s3", "k3_s1",
+            "s5_k3", "k_eq_l", "k20_s4"])
     def test_fft_path_within_declared_bound_of_im2col(self, rng, dtype, tolerance, geometry,
                                                       direct):
         """Forward, input, kernel and bias gradients, in relative max-norm, where the rule
@@ -322,6 +327,52 @@ class TestConv1d:
         bound = x.nbytes + x_spec.nbytes + 2 * c_out * c_in * stride * 33 * 8 + 4 * y_bytes
         assert peak <= bound < c_in * kernel * 4096 * 4, (peak, bound)
 
+    def test_fft_kernel_grad_holds_one_block_of_products(self, rng):
+        """At 8 s `cnn.2` the kernel gradient holds a few GRAD_BLOCK_BYTES blocks besides its
+        output, not the whole layer's per-bin products, their copy and their 64-lag inverse."""
+        c_in, c_out, length, kernel, stride = 128, 240, 6377, 80, 4
+        x = rng.standard_normal((c_in, length)).astype(np.float32)
+        w = Tensor(rng.standard_normal((c_out, c_in, kernel)).astype(np.float32), name="w")
+        y, (_, x_spec, *_) = F.conv1d_fft(x, w, Tensor(np.zeros(c_out, np.float32), name="b"),
+                                          stride)
+        dy_spec = F._block_spectra(rng.standard_normal(y.shape).astype(np.float32),
+                                   *F._fft_blocks(kernel, stride, y.shape[1])[1:])
+        grad = F._fft_kernel_grad(dy_spec, x_spec, w.shape, stride)  # first-call imports
+        peak = traced_peak(lambda: F._fft_kernel_grad(dy_spec, x_spec, w.shape, stride))
+        whole = c_out * x_spec.shape[0] * x_spec.shape[1] * x_spec.itemsize
+        assert peak <= grad.nbytes + 5 * F.GRAD_BLOCK_BYTES < whole, (peak, whole)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry, block_bytes", [
+        ((64, 128, 25585, 80, 4), None),  # 8 s `cnn.1`: 3 blocks in float32
+        ((128, 240, 6377, 80, 4), None),  # 8 s `cnn.2`: 8 blocks in float32
+        ((3, 17, 500, 20, 4), 1),  # as many blocks as fit two rows: 2 + ... + 3
+        ((5, 33, 700, 9, 3), 3000),
+        ((4, 3, 300, 7, 3), 1),  # one block of three rows
+        ((4, 1, 300, 7, 3), 1),  # one row
+    ], ids=["default_8s", "default_8s_cnn2", "rows_17", "rows_33", "rows_3", "rows_1"])
+    def test_fft_kernel_grad_blocks_bitwise_equal_to_whole_layer(self, monkeypatch, rng, dtype,
+                                                                geometry, block_bytes):
+        """Blocks of output channels give the bits of the whole layer's per-bin GEMM and
+        64-lag inverse transform."""
+        from scipy.fft import irfft
+
+        if block_bytes is not None:
+            monkeypatch.setattr(F, "GRAD_BLOCK_BYTES", block_bytes)
+        c_in, c_out, length, kernel, stride = geometry
+        x = rng.standard_normal((c_in, length)).astype(dtype)
+        w = Tensor(rng.standard_normal((c_out, c_in, kernel)).astype(dtype), name="w")
+        y, (_, x_spec, *_) = F.conv1d_fft(x, w, Tensor(np.zeros(c_out, dtype), name="b"), stride)
+        dy_spec = F._block_spectra(rng.standard_normal(y.shape).astype(dtype),
+                                   *F._fft_blocks(kernel, stride, y.shape[1])[1:])
+        products = np.matmul(dy_spec, x_spec.transpose(0, 2, 1))
+        lags = irfft(np.ascontiguousarray(products.transpose(1, 2, 0)), F.FFT_SIZE)
+        taps = lags[..., : -(-kernel // stride)].reshape(c_out, c_in, stride, -1)
+        want = taps.transpose(0, 1, 3, 2).reshape(c_out, c_in, -1)[..., :kernel]
+        got = F._fft_kernel_grad(dy_spec, x_spec, w.shape, stride)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
             F.conv1d(np.zeros((1, 3)), tensor(np.zeros((1, 1, 4))), tensor(np.zeros(1)), 1)
@@ -329,6 +380,81 @@ class TestConv1d:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             F.conv1d(np.zeros((2, 10)), tensor(np.zeros((1, 3, 4))), tensor(np.zeros(1)), 1)
+
+
+class TestKernelSpectrumMemo:
+    """`conv1d_fft` builds a weight's spectrum once per weight value, held on the `Tensor`."""
+
+    @staticmethod
+    def layer(rng, dtype=np.float32):
+        c_in, c_out, length, kernel, stride = 4, 6, 700, 9, 3
+        x = rng.standard_normal((c_in, length)).astype(dtype)
+        w = Tensor(rng.standard_normal((c_out, c_in, kernel)).astype(dtype), name="w")
+        b = Tensor(rng.standard_normal(c_out).astype(dtype), name="b")
+        return x, w, b, stride
+
+    @staticmethod
+    def cold(x, w, b, stride, dy=None):
+        """Output (and input gradient, given `dy`) through a copy of `w` with no spectrum."""
+        fresh = Tensor(w.data.copy(), name="w")
+        y, cache = F.conv1d_fft(x, fresh, b, stride)
+        return y if dy is None else (y, F.conv1d_vjp(dy, cache))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hit_gives_the_bits_of_a_cold_build(self, monkeypatch, rng, dtype):
+        x, w, b, stride = self.layer(rng, dtype)
+        builds = spectrum_builds(monkeypatch)
+        F.conv1d_fft(x, w, b, stride)
+        y, cache = F.conv1d_fft(x, w, b, stride)
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        dx = F.conv1d_vjp(dy, cache)  # the input gradient reads the same spectrum
+        assert builds == [(w.shape, stride)]
+        want_y, want_dx = self.cold(x, w, b, stride, dy)
+        assert y.tobytes() == want_y.tobytes() and dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("write", ["probe", "negative_zero", "copyto", "new_data", "stride"])
+    def test_any_write_rebuilds(self, monkeypatch, rng, write):
+        """A one-element probe as gradcheck makes, -0.0 over 0.0 (equal values, other bytes),
+        a restore into the array, a replaced `.data`, and another stride."""
+        x, w, b, stride = self.layer(rng)
+        w.data[0, 0, 0] = 0.0
+        F.conv1d_fft(x, w, b, stride)
+        builds = spectrum_builds(monkeypatch)
+        if write == "probe":
+            w.data.reshape(-1)[5] += np.float32(1e-3)
+        elif write == "negative_zero":
+            w.data[0, 0, 0] = -0.0
+        elif write == "copyto":
+            np.copyto(w.data, rng.standard_normal(w.shape))
+        elif write == "new_data":
+            w.data = w.data * np.float32(0.5)
+        else:
+            stride += 1
+        y, _ = F.conv1d_fft(x, w, b, stride)
+        F.conv1d_fft(x, w, b, stride)
+        assert builds == [(w.shape, stride)]
+        assert y.tobytes() == self.cold(x, w, b, stride).tobytes()
+
+    def test_threads_sharing_a_weight_build_it_once(self, monkeypatch, rng):
+        """More threads than cores, a short switch interval and a slow build: one build."""
+        x, w, b, stride = self.layer(rng)
+        builds = spectrum_builds(monkeypatch, delay=0.05)
+        start = threading.Barrier(4)
+
+        def call(_):
+            start.wait(timeout=30)
+            return F.conv1d_fft(x, w, b, stride)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                outputs = list(pool.map(call, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds == [(w.shape, stride)]
+        want = self.cold(x, w, b, stride).tobytes()
+        assert all(y.tobytes() == want for y in outputs)
 
 
 class TestLinear:

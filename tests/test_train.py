@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import wlann
+from wlann import scoring
 from wlann.dataio import AudioClip
 from wlann.dsp import spec_augment
 from wlann.errors import CheckpointError, NumericError, ShapeError, StorageError
@@ -46,7 +47,7 @@ from wlann.train import checkpoint
 import wlann.train.adam as adam_module
 
 from conftest import (fft_layer_config, float_arrays, separation_config, small_train_config,
-                      traced_peak)
+                      spectrum_builds, traced_peak)
 
 
 def synthetic_batch(cfg, rng, n=4):
@@ -426,6 +427,42 @@ class TestTwoThreadStep:
         before = set(threading.enumerate())
         train_step(synthetic_batch(cfg, np.random.default_rng(8), n=1), TrainState.create(cfg))
         assert not set(threading.enumerate()) - before
+
+
+class TestKernelSpectrumMemo:
+    """Each FFT layer's spectrum is built once per weight value and follows Adam's updates."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_steps_equal_steps_with_fresh_spectra(self, monkeypatch, dtype):
+        """3 steps equal 3 steps whose weights drop their spectra before every step; each
+        step builds the FFT layer's spectrum once for both examples' forwards and VJPs."""
+        cfg = fft_layer_config(dtype=dtype, augment=AugmentConfig(time_warp_frames=2), seed=8)
+        batch = synthetic_batch(cfg, np.random.default_rng(6), n=2)
+        memo, fresh = TrainState.create(cfg), TrainState.create(cfg)
+        builds = spectrum_builds(monkeypatch)
+        fft_layer = (memo.params.conv_layers[1].w.shape, cfg.cnn.strides[1])
+        for _ in range(3):
+            for tensor in fresh.params.tensors():
+                tensor.spectrum = None
+            built = len(builds)
+            loss = train_step(batch, memo)[0]
+            assert builds[built:] == [fft_layer]
+            assert loss == train_step(batch, fresh)[0]
+        pairs = zip([*memo.params.tensors(), *memo.optimizer.m, *memo.optimizer.v],
+                    [*fresh.params.tensors(), *fresh.optimizer.m, *fresh.optimizer.v])
+        for got, want in pairs:
+            assert got.data.tobytes() == want.data.tobytes(), got.name
+
+    def test_evaluate_builds_each_spectrum_once(self, monkeypatch, tiny_corpus):
+        """Two workers share the weights: one build per FFT layer, none on a second call."""
+        corpus, _, intra, _ = tiny_corpus
+        cfg = fft_layer_config()
+        params = WlannParams.create(cfg)
+        builds = spectrum_builds(monkeypatch)
+        first = scoring.render_report(*scoring.evaluate(params, cfg, intra, corpus, jobs=2))
+        assert builds == [(params.conv_layers[1].w.shape, cfg.cnn.strides[1])]
+        assert scoring.render_report(*scoring.evaluate(params, cfg, intra, corpus, jobs=2)) == first
+        assert len(builds) == 1
 
 
 class TestBlasPin:
