@@ -191,7 +191,7 @@ def ast_branch(spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
     tokens = embedded + params.pos_embed.data
     block_caches = []
     for block in params.blocks:
-        tokens, c_block = transformer_block(tokens, block)
+        tokens, c_block = transformer_block(tokens, block, keep_cache)
         if keep_cache:
             block_caches.append(c_block)
         del c_block
@@ -263,11 +263,16 @@ def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, 
             executor: Executor | None = None, keep_cache: bool = True):
     """Full forward pass; returns (scores, cache). Deterministic and pure.
 
-    With an executor, its thread runs the spectrogram branch while the
-    caller runs the waveform branch above the widest conv layer. The
-    branches share no parameters, so every value is the same as without.
+    With an executor, the spectrogram branch is queued on it once the
+    widest conv layer has returned, and the caller runs the waveform
+    branch above that layer. A caller that is one of the executor's own
+    threads runs the branch itself if no thread has picked it up by the
+    time it needs it (`F.Job`), so the executor may be the pool the caller
+    runs on; any other caller waits for the executor. The branches
+    share no parameters, so every value is the same as without.
     Without `keep_cache` the cache is None and no backward cache is held,
-    so the peak is one layer's working set; the scores are the same.
+    so the peak is one layer's working set, or two when the branches run
+    at once; the scores are the same.
     """
     ast = F.Job(executor, ast_branch, spec, params, cfg, keep_cache)
     wo, c_wave = waveform_branch(waveform, params, cfg, ast.start, keep_cache)
@@ -298,6 +303,10 @@ def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None)
 
 
 def predict_scores(
-    waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig
+    waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
+    executor: Executor | None = None,
 ) -> np.ndarray:
-    return forward(waveform, spec, params, cfg, keep_cache=False)[0]
+    """Class scores from one forward that keeps no backward cache. An idle thread of
+    `executor`, if given, may run the spectrogram branch (see `forward`); the scores
+    are the same with or without it."""
+    return forward(waveform, spec, params, cfg, executor, keep_cache=False)[0]

@@ -55,37 +55,53 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, heads * d_h)
 
 
-def multi_head_self_attention(x: np.ndarray, params: AttentionParams):
-    """Scaled dot-product attention over a (N, D) token sequence."""
+def multi_head_self_attention(x: np.ndarray, params: AttentionParams, keep_cache: bool = True):
+    """Scaled dot-product attention over a (N, D) token sequence, one head at a time.
+
+    Each head's weights overwrite its (N, N) scores: in the cached (h, N, N)
+    weights with `keep_cache`, else in one buffer all heads reuse, and the
+    cache is None. Per head these are the GEMMs and row reductions a batched
+    matmul over the heads makes, so the bits are the same.
+    """
     n, dim = x.shape
-    if dim % params.heads != 0:
-        raise ConfigError(f"embedding dim {dim} not divisible by {params.heads} heads")
+    heads = params.heads
+    if dim % heads != 0:
+        raise ConfigError(f"embedding dim {dim} not divisible by {heads} heads")
     q, c_q = F.linear(x, params.wq, params.bq)
     k, c_k = F.linear(x, params.wk, params.bk)
     v, c_v = F.linear(x, params.wv, params.bv)
-    qh, kh, vh = (_split_heads(t, params.heads) for t in (q, k, v))
-    scale = 1.0 / math.sqrt(dim // params.heads)
-    scores = qh @ kh.transpose(0, 2, 1)
-    scores *= scale
-    attn, c_soft = F.softmax(scores, axis=-1, out=scores)  # the weights overwrite the scores
-    context = attn @ vh  # (h, N, d_h)
-    merged = _merge_heads(context)
-    y, c_o = F.linear(merged, params.wo, params.bo)
-    cache = (c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, params.heads)
-    return y, cache
+    qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(dim // heads)
+    attn = np.empty((heads if keep_cache else 1, n, n), q.dtype)
+    context = np.empty(qh.shape, q.dtype)  # (h, N, d_h)
+    for i in range(heads):
+        scores = attn[i if keep_cache else 0]
+        np.matmul(qh[i], kh[i].T, out=scores)
+        scores *= scale
+        F.softmax(scores, axis=-1, out=scores)
+        np.matmul(scores, vh[i], out=context[i])
+    y, c_o = F.linear(_merge_heads(context), params.wo, params.bo)
+    if not keep_cache:
+        return y, None
+    c_soft = (attn, -1)  # `F.softmax`'s cache over all heads
+    return y, (c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, heads)
 
 
 def multi_head_self_attention_vjp(dy: np.ndarray, cache):
-    c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, heads = cache
+    """One head at a time: two (N, N) gradients are live at once, not two per head."""
+    c_q, c_k, c_v, c_o, (attn, axis), qh, kh, vh, _, scale, heads = cache
     dmerged = F.linear_vjp(dy, c_o)
     dcontext = _split_heads(dmerged, heads)
-    dattn = dcontext @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ dcontext
-    dscores = F.softmax_vjp(dattn, c_soft)
-    del dattn
-    dscores *= scale
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 2, 1) @ qh
+    dqh, dkh, dvh = (np.empty(dcontext.shape, dcontext.dtype) for _ in range(3))
+    for i in range(heads):
+        dattn = dcontext[i] @ vh[i].T
+        np.matmul(attn[i].T, dcontext[i], out=dvh[i])
+        dscores = F.softmax_vjp(dattn, (attn[i], axis))
+        del dattn
+        dscores *= scale
+        np.matmul(dscores, kh[i], out=dqh[i])
+        np.matmul(dscores.T, qh[i], out=dkh[i])
+        del dscores
     dx = F.linear_vjp(_merge_heads(dqh), c_q)
     dx += F.linear_vjp(_merge_heads(dkh), c_k)
     dx += F.linear_vjp(_merge_heads(dvh), c_v)
@@ -122,19 +138,20 @@ class TransformerBlockParams(ParamGroup):
         )
 
 
-def transformer_block(x: np.ndarray, params: TransformerBlockParams):
-    """One encoder block over a (N, D) sequence; output shape equals input shape."""
+def transformer_block(x: np.ndarray, params: TransformerBlockParams, keep_cache: bool = True):
+    """One encoder block over a (N, D) sequence; output shape equals input shape.
+    The cache is None without `keep_cache`."""
     if x.ndim != 2:
         raise ShapeError(f"transformer block expects a (N, D) sequence, got {x.shape}")
     h1, c_ln1 = F.layer_norm(x, params.ln1_gain, params.ln1_shift)
-    attn_out, c_attn = multi_head_self_attention(h1, params.attn)
+    attn_out, c_attn = multi_head_self_attention(h1, params.attn, keep_cache)
     x_mid = x + attn_out
     h2, c_ln2 = F.layer_norm(x_mid, params.ln2_gain, params.ln2_shift)
     f1, c_f1 = F.linear(h2, params.ff1_w, params.ff1_b)
     g1, c_g = F.gelu(f1)
     f2, c_f2 = F.linear(g1, params.ff2_w, params.ff2_b)
     y = x_mid + f2
-    return y, (c_ln1, c_attn, c_ln2, c_f1, c_g, c_f2)
+    return y, (c_ln1, c_attn, c_ln2, c_f1, c_g, c_f2) if keep_cache else None
 
 
 def transformer_block_vjp(dy: np.ndarray, cache):

@@ -45,7 +45,14 @@ def _call_once(call: list):
 
 
 class Job:
-    """`fn(*args)`, run on the executor's thread from `start`, else in the caller's at `wait`.
+    """`fn(*args)`, queued on the executor at `start`; `wait` returns its result.
+
+    When the waiting thread is one of the executor's own workers and no
+    worker has started the job, it runs the job itself, once. So a job may
+    go to the pool its own caller runs on, even a one-thread pool, without
+    deadlock. Any other thread waits for the executor, so a dedicated
+    helper's schedule does not depend on when its thread wakes. Without an
+    executor the job runs at `wait`. Either way `fn` computes the same values.
 
     The job lets go of its arguments as it starts, so what only it holds
     is freed when it ends, not when the `Job` is dropped, nor after `wait`
@@ -62,7 +69,13 @@ class Job:
             self._future = self._executor.submit(_call_once, self._call)
 
     def wait(self):
-        return _call_once(self._call) if self._future is None else self._future.result()
+        if self._future is None or (self._on_own_worker() and self._future.cancel()):
+            return _call_once(self._call)
+        return self._future.result()
+
+    def _on_own_worker(self) -> bool:
+        # `ThreadPoolExecutor` keeps its worker threads in `_threads`; another executor never lends.
+        return threading.current_thread() in getattr(self._executor, "_threads", ())
 
 
 def run_lanes(executor: Executor | None, fn, lanes: list[tuple]) -> None:

@@ -155,10 +155,14 @@ def evaluate(
 ) -> tuple[ScoreReport, ConfusionMatrix]:
     """Run deterministic inference over a split and score the predictions.
 
-    Per-event inference is pure, so it runs on a pool of `jobs` threads;
-    the result is identical regardless of worker count.
+    Per-event inference is pure, so it runs on a pool of `jobs` threads.
+    Each clip's forward is lent the same pool: while clips are queued, a
+    worker runs its own clip's spectrogram branch; a worker that finds
+    none left runs the branch of a clip still in flight. The result is
+    identical regardless of worker count, and every thread has ended on
+    return.
     """
-    from .model.network import predict_scores
+    from .model import network  # `predict_scores` is looked up per call, so it can be replaced
     from .model.pipeline import prepare_input
 
     if jobs < 1:
@@ -168,7 +172,7 @@ def evaluate(
 
     def predict_one(event) -> Label:
         waveform, spec = prepare_input(corpus.event_clip(event), cfg)
-        scores = predict_scores(waveform, spec, params, cfg)
+        scores = network.predict_scores(waveform, spec, params, cfg, executor=pool)
         return LABELS[int(np.argmax(scores))]
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -49,7 +49,7 @@ def test_evaluate_looks_up_predict_scores_at_call_time(monkeypatch, tiny_corpus)
     evaluate(WlannParams.create(cfg), cfg, intra, corpus, jobs=2)  # a lookup cached here misses the patch
     calls = []
 
-    def recorder(waveform, spec, params, cfg):
+    def recorder(waveform, spec, params, cfg, executor=None):
         calls.append(waveform.shape)
         return np.full(NUM_CLASSES, 0.5)
 

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -449,6 +451,21 @@ class TestStructuralIdentities:
         del cache
         assert forward(waveform, spec, params, cfg, keep_cache=False)[1] is None
         peak = traced_peak(lambda: predict_scores(waveform, spec, params, cfg))
+        assert peak <= 64 * 2**20, peak
+
+    def test_predict_on_a_one_worker_executor_at_8s(self, rng):
+        """The idle worker runs the spectrogram branch: same scores, still under 64 MiB."""
+        cfg = WlannConfig()
+        params = WlannParams.create(cfg)
+        waveform = rng.uniform(-0.5, 0.5, (1, cfg.fixed_samples)).astype(np.float32)
+        spec = LogMelSpectrogram(values=rng.standard_normal((128, cfg.spec_frames)))
+        want = predict_scores(waveform, spec, params, cfg)
+        before = set(threading.enumerate())
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = predict_scores(waveform, spec, params, cfg, pool)
+            peak = traced_peak(lambda: predict_scores(waveform, spec, params, cfg, pool))
+        assert not set(threading.enumerate()) - before
+        assert got.tobytes() == want.tobytes()
         assert peak <= 64 * 2**20, peak
 
     def test_single_patch_column(self, rng):

@@ -1,5 +1,6 @@
 """Forward semantics of the numeric primitives against loop oracles."""
 
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from wlann.ndiff import (
     transformer_block,
 )
 from wlann.ndiff import functional as F
-from wlann.ndiff.attention import multi_head_self_attention_vjp
+from wlann.ndiff.attention import _merge_heads, _split_heads, multi_head_self_attention_vjp
 
 from conftest import (fft_layer_config, separation_config, small_train_config, spectrum_builds,
                       traced_peak)
@@ -107,6 +108,63 @@ CONV_GEOMETRIES = [
     (1, 2, 12, 12, 4),
     (2, 2, 90, 20, 4),
 ]
+
+
+class TestJob:
+    def test_other_threads_wait_for_the_executor(self):
+        """A thread outside the pool waits, even behind a busy worker: the job runs there."""
+        release, threads = threading.Event(), []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            blocker = pool.submit(release.wait, 30)
+            job = F.Job(pool, lambda value: threads.append(threading.current_thread()) or value, 7)
+            job.start()
+            timer = threading.Timer(0.05, release.set)
+            timer.start()
+            assert job.wait() == 7
+            assert blocker.result(timeout=30)
+            timer.join(30)
+            assert not timer.is_alive()
+        assert len(threads) == 1 and threads[0] is not threading.current_thread()
+
+    def test_job_on_its_callers_one_worker_pool_runs_in_the_waiting_worker(self):
+        """The only worker is blocked waiting on a job it queued: it runs the job itself."""
+        pool = ThreadPoolExecutor(max_workers=1)
+
+        def outer():
+            job = F.Job(pool, threading.current_thread)
+            job.start()
+            return threading.current_thread(), job.wait()
+
+        try:
+            caller, ran_on = pool.submit(outer).result(timeout=30)
+        finally:
+            pool.shutdown(cancel_futures=True)  # on a deadlock, frees the worker to end
+        assert ran_on is caller
+
+    def test_started_job_is_awaited_not_run_again(self):
+        """A worker waiting on a job the pool's other worker is running waits for it."""
+        started, release, calls = threading.Event(), threading.Event(), []
+
+        def work():
+            calls.append(threading.current_thread())
+            started.set()
+            release.wait(30)
+            return "done"
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            def outer():
+                job = F.Job(pool, work)
+                job.start()
+                assert started.wait(30)
+                timer = threading.Timer(0.05, release.set)
+                timer.start()
+                result = job.wait()  # the job is running: cancelling it fails
+                timer.join(30)
+                return threading.current_thread(), result, timer.is_alive()
+
+            caller, result, timer_alive = pool.submit(outer).result(timeout=60)
+        assert result == "done" and not timer_alive
+        assert len(calls) == 1 and calls[0] is not caller
 
 
 def im2col_conv1d_reference(x, w, b, stride, dy):
@@ -578,6 +636,33 @@ class TestPooling:
         np.testing.assert_allclose(y[0], x.mean(axis=0))
 
 
+def all_heads_attention_reference(x, params):
+    """The attention forward over all heads at once, with batched matmuls."""
+    q, c_q = F.linear(x, params.wq, params.bq)
+    k, c_k = F.linear(x, params.wk, params.bk)
+    v, c_v = F.linear(x, params.wv, params.bv)
+    qh, kh, vh = (_split_heads(t, params.heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(x.shape[1] // params.heads)
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= scale
+    attn, c_soft = F.softmax(scores, axis=-1, out=scores)
+    y, c_o = F.linear(_merge_heads(attn @ vh), params.wo, params.bo)
+    return y, (c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, params.heads)
+
+
+def all_heads_attention_vjp_reference(dy, cache):
+    c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, heads = cache
+    dcontext = _split_heads(F.linear_vjp(dy, c_o), heads)
+    dattn = dcontext @ vh.transpose(0, 2, 1)
+    dvh = attn.transpose(0, 2, 1) @ dcontext
+    dscores = F.softmax_vjp(dattn, c_soft)
+    dscores *= scale
+    dx = F.linear_vjp(_merge_heads(dscores @ kh), c_q)
+    dx += F.linear_vjp(_merge_heads(dscores.transpose(0, 2, 1) @ qh), c_k)
+    dx += F.linear_vjp(_merge_heads(dvh), c_v)
+    return dx
+
+
 class TestAttention:
     def test_single_token_attention_weight_is_one(self, rng):
         params = AttentionParams.allocate(6, 2).initialize(rng, 0.02)
@@ -610,6 +695,45 @@ class TestAttention:
         backward_peak = traced_peak(lambda: multi_head_self_attention_vjp(dy, cache))
         assert forward_peak <= scores_bytes + 2**18, (forward_peak, scores_bytes)
         assert backward_peak <= 2 * scores_bytes + 2**18, (backward_peak, scores_bytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, dim, heads", [(1470, 64, 4), (9, 12, 3)], ids=["default_8s", "small"])
+    def test_per_head_bitwise_equal_to_all_heads(self, n, dim, heads, dtype):
+        """Forward (with and without a cache), weights, input and parameter gradients."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((n, dim)).astype(dtype)
+        dy = rng.standard_normal((n, dim)).astype(dtype)
+        got, want = (AttentionParams.allocate(dim, heads, dtype=dtype)
+                     .initialize(np.random.default_rng(3), 0.1) for _ in range(2))
+        y, cache = multi_head_self_attention(x, got)
+        y_ref, cache_ref = all_heads_attention_reference(x, want)
+        assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()
+        assert cache[8].tobytes() == cache_ref[8].tobytes()
+        y_free, no_cache = multi_head_self_attention(x, got, keep_cache=False)
+        assert no_cache is None and y_free.tobytes() == y_ref.tobytes()
+        dx = multi_head_self_attention_vjp(dy, cache)
+        assert dx.tobytes() == all_heads_attention_vjp_reference(dy, cache_ref).tobytes()
+        for g, w in zip(got.tensors(), want.tensors()):
+            assert g.grad.tobytes() == w.grad.tobytes(), g.name
+
+    def test_cache_free_forward_holds_one_head_of_scores(self, rng):
+        heads, n, dim = 4, 300, 8
+        params = AttentionParams.allocate(dim, heads).initialize(rng, 0.02)
+        x = rng.standard_normal((n, dim))
+        multi_head_self_attention(x, params, keep_cache=False)
+        head_bytes = n * n * 8
+        peak = traced_peak(lambda: multi_head_self_attention(x, params, keep_cache=False))
+        assert peak <= head_bytes + 2**18, (peak, head_bytes)
+
+    def test_backward_holds_two_heads_of_score_gradients(self, rng):
+        heads, n, dim = 4, 300, 8
+        params = AttentionParams.allocate(dim, heads).initialize(rng, 0.02)
+        x, dy = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+        _, cache = multi_head_self_attention(x, params)
+        multi_head_self_attention_vjp(dy, cache)  # first-call gradient buffers
+        head_bytes = n * n * 8
+        peak = traced_peak(lambda: multi_head_self_attention_vjp(dy, cache))
+        assert peak <= 2 * head_bytes + 2**18, (peak, head_bytes)
 
     def test_single_head_matches_explicit_formula(self, rng):
         """N=3, D=4, one head: independent composition of the textbook formula."""

@@ -1,5 +1,8 @@
 """Challenge scoring: counting rules, derived scores, and report stability."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 
 from wlann.dataio import Label
 from wlann.errors import ValidationError
-from wlann.scoring import consistency_check, render_report, score
+from wlann.scoring import consistency_check, evaluate, render_report, score
+
+from conftest import small_train_config
 
 N, W, FC = Label.NORMAL, Label.WHEEZE, Label.FINE_CRACKLE
 
@@ -155,3 +160,52 @@ class TestReportRendering:
         report, matrix = score([(N, N)])
         text = render_report(report, matrix)
         assert '"sensitivity": "undefined"' in text
+
+
+class TestEvaluateThreads:
+    """`evaluate` lends its pool to each clip's forward (a 3-clip split)."""
+
+    def test_same_report_at_any_worker_count_and_no_thread_left(self, tiny_corpus):
+        from wlann.model import WlannParams
+
+        corpus, _, intra, _ = tiny_corpus
+        assert len(intra) == 3
+        cfg = small_train_config()
+        params = WlannParams.create(cfg)
+        before = set(threading.enumerate())
+        reports = []
+        for jobs in (1, 2, 3, 4):
+            reports.append(render_report(*evaluate(params, cfg, intra, corpus, jobs=jobs)))
+            assert not set(threading.enumerate()) - before, jobs
+        assert reports[1:] == reports[:1] * 3
+
+    def test_idle_worker_runs_the_branch_of_a_clip_in_flight(self, monkeypatch, tiny_corpus):
+        """Two workers, three clips: the first two clips' spectrogram branches run on their
+        own workers; the third's runs on the worker that found no clip left."""
+        from wlann.model import WlannParams, network
+
+        corpus, _, intra, _ = tiny_corpus
+        cfg = small_train_config()
+        clip_threads, branch_threads = {}, {}
+        predict, ast, waveform = network.predict_scores, network.ast_branch, network.waveform_branch
+
+        def recording_predict(wave, spec, *args, **kwargs):
+            clip_threads[id(spec)] = (spec, threading.current_thread())  # keeps the id unique
+            return predict(wave, spec, *args, **kwargs)
+
+        def recording_ast(spec, *args, **kwargs):
+            branch_threads[id(spec)] = (spec, threading.current_thread())
+            return ast(spec, *args, **kwargs)
+
+        def slow_waveform(*args, **kwargs):
+            result = waveform(*args, **kwargs)  # the spectrogram branch is queued by now
+            time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(network, "predict_scores", recording_predict)
+        monkeypatch.setattr(network, "ast_branch", recording_ast)
+        monkeypatch.setattr(network, "waveform_branch", slow_waveform)
+        evaluate(WlannParams.create(cfg), cfg, intra, corpus, jobs=2)
+        assert clip_threads.keys() == branch_threads.keys() and len(clip_threads) == 3
+        lent = [key for key in clip_threads if clip_threads[key][1] is not branch_threads[key][1]]
+        assert len(lent) == 1
