@@ -107,6 +107,13 @@ def _cached_filterbank() -> np.ndarray:
     return weights
 
 
+@lru_cache(maxsize=1)
+def _cached_window() -> np.ndarray:
+    window = np.hamming(WINDOW_SAMPLES)
+    window.flags.writeable = False
+    return window
+
+
 def log_mel(clip: AudioClip) -> LogMelSpectrogram:
     """Compute the (128, frames) log-mel spectrogram of a 16 kHz clip."""
     if clip.sample_rate_hz != SAMPLE_RATE_HZ:
@@ -116,9 +123,8 @@ def log_mel(clip: AudioClip) -> LogMelSpectrogram:
     frame_count(len(clip))  # rejects clips shorter than one window
     weights = _cached_filterbank()
 
-    window = np.hamming(WINDOW_SAMPLES)
     frames = sliding_window_view(clip.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
-    spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
+    spectrum = np.fft.rfft(frames * _cached_window(), n=FFT_SIZE, axis=1)
     power = np.abs(spectrum) ** 2
 
     energies = power @ weights.T  # (frames, mel)

@@ -1,5 +1,6 @@
 """Band-limited sample-rate conversion by a polyphase Kaiser-windowed sinc
-(J. O. Smith, "Digital Audio Resampling", https://ccrma.stanford.edu/~jos/resample/)."""
+(J. O. Smith, "Digital Audio Resampling", https://ccrma.stanford.edu/~jos/resample/;
+R. E. Crochiere and L. R. Rabiner, "Multirate Digital Signal Processing", 1983)."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..dataio.audio import AudioClip
 from ..errors import ValidationError
@@ -15,6 +17,12 @@ from ..errors import ValidationError
 # far below the 1% amplitude tolerance the pipeline needs.
 _ZERO_CROSSINGS = 16
 _KAISER_BETA = 8.6
+
+PERIOD_MATRIX_BYTES = 4 << 20  # a rate pair whose period matrix is larger keeps resample_poly
+_MIN_PERIOD = 128  # outputs per period, rounded up to a multiple of `up`
+# Output columns per GEMM, so each reads only its band of the window. Of 8 to 48, 16 was
+# fastest over 8, 44.1, 48 and 96 kHz inputs (one BLAS thread).
+_PHASES_PER_GEMM = 16
 
 
 @lru_cache(maxsize=8)
@@ -37,17 +45,85 @@ def _polyphase_kernel(source_hz: int, target_hz: int) -> tuple[np.ndarray, int, 
     return kernel, up, down
 
 
+def _period_shape(source_hz: int, target_hz: int) -> tuple[int, int, int, int]:
+    """(window inputs, outputs, input step, half width) of one period of the GEMM path.
+
+    A period is R = up * ceil(128 / up) consecutive outputs, so it starts
+    a whole R * down / up inputs after the previous one, and its window
+    reaches from half_width inputs before its first output to half_width
+    after its last.
+    """
+    kernel, up, down = _polyphase_kernel(source_hz, target_hz)
+    half_width = (kernel.size - 1) // (2 * up)
+    outputs = up * -(-_MIN_PERIOD // up)
+    rows = (outputs - 1) * down // up + 2 * half_width + 1
+    return rows, outputs, outputs // up * down, half_width
+
+
+def uses_gemm(source_hz: int, target_hz: int) -> bool:
+    """Whether `resample` takes the GEMM path: its float64 period matrix fits the cache
+    budget. Every standard rate from 4 to 96 kHz to 16 kHz needs at most 2.3 MiB; a
+    pathological ratio such as 44101 -> 16000 Hz (R = 16000 outputs) would need 5.6 GB."""
+    rows, outputs, _, _ = _period_shape(source_hz, target_hz)
+    return rows * outputs * 8 <= PERIOD_MATRIX_BYTES
+
+
+@lru_cache(maxsize=8)
+def _period_matrix(source_hz: int, target_hz: int) -> np.ndarray:
+    """The read-only (window inputs, R) matrix taking one period's window to its outputs.
+
+    resample_poly scales the kernel by `up` and weighs input i of output m by
+    h[m * down + half_len - i * up] (half_len = up * half_width). In window
+    coordinates, output r of a period reads rows r * down // up + 1 to
+    r * down // up + 2 * half_width, and row j gets h[r * down + 2 * half_len - j * up].
+    """
+    kernel, up, down = _polyphase_kernel(source_hz, target_hz)
+    rows, outputs, _, half_width = _period_shape(source_hz, target_hz)
+    phase = np.arange(outputs)
+    band = (phase * down // up)[:, None] + np.arange(1, 2 * half_width + 1)
+    taps = (phase * down)[:, None] + (kernel.size - 1) - band * up
+    matrix = np.zeros((rows, outputs))
+    matrix[band, phase[:, None]] = (kernel * up)[taps]
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _resample_gemm(x: np.ndarray, source_hz: int, target_hz: int, n_out: int) -> np.ndarray:
+    """resample_poly's first n_out outputs, as period windows @ the period matrix."""
+    _, up, down = _polyphase_kernel(source_hz, target_hz)
+    matrix = _period_matrix(source_hz, target_hz)
+    rows, outputs, step, half_width = _period_shape(source_hz, target_hz)
+
+    periods = -(-n_out // outputs)
+    # x fits: the windows reach half_width >= 16 * down / up inputs past output n_out - 1.
+    padded = np.zeros((periods - 1) * step + rows)
+    padded[half_width:half_width + x.size] = x
+    windows = as_strided(padded, (periods, rows), (step * padded.itemsize, padded.itemsize),
+                         writeable=False)
+    out = np.empty((periods, outputs))
+    for first in range(0, outputs, _PHASES_PER_GEMM):
+        last = min(outputs, first + _PHASES_PER_GEMM) - 1
+        # Only the rows of these columns' sinc band.
+        lo, hi = first * down // up + 1, last * down // up + 2 * half_width + 1
+        np.matmul(windows[:, lo:hi], matrix[lo:hi, first:last + 1], out=out[:, first:last + 1])
+    return out.reshape(-1)[:n_out]
+
+
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Resample to `target_hz`; output length is round(n * target / source).
 
     The interpolation kernel is a sinc low-passed at the smaller of the
     two Nyquist frequencies, so both up- and down-sampling are alias-free.
     It is sampled once per rate pair, on the upsampled grid of the
-    gcd-reduced rate ratio, and applied one polyphase branch per output
-    sample.
+    gcd-reduced rate ratio. Where `uses_gemm` holds, the clip is cut into
+    periods of R outputs, which all apply the same taps to their windows,
+    so the conversion is a few GEMMs with one cached period matrix; other
+    pairs call scipy's `resample_poly` itself. The GEMM sums each output in
+    another order, so on samples in [-1, 1] it is within 1e-15 of
+    `resample_poly` with the same kernel for every rate from 4 to 96 kHz
+    to 16 kHz and for 16 to 8 kHz. Longer kernels drift further (1.7e-15
+    at 192 to 16 kHz, 384 taps per output).
     """
-    from scipy.signal import resample_poly
-
     if target_hz <= 0:
         raise ValidationError(f"target sample rate must be positive, got {target_hz}")
     source_hz = clip.sample_rate_hz
@@ -61,6 +137,11 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
             f"resampling {n_in} samples from {source_hz} to {target_hz} Hz leaves no samples"
         )
 
-    kernel, up, down = _polyphase_kernel(source_hz, target_hz)
-    out = resample_poly(clip.samples, up, down, window=kernel)[:n_out]
+    if uses_gemm(source_hz, target_hz):
+        out = _resample_gemm(clip.samples, source_hz, target_hz, n_out)
+    else:
+        from scipy.signal import resample_poly
+
+        kernel, up, down = _polyphase_kernel(source_hz, target_hz)
+        out = resample_poly(clip.samples, up, down, window=kernel)[:n_out]
     return AudioClip(np.clip(out, -1.0, 1.0), target_hz, source=clip.source)

@@ -6,6 +6,8 @@ import struct
 import time
 import tracemalloc
 
+import wlann  # noqa: F401  (first: it pins BLAS to one thread only if NumPy is not loaded yet)
+
 import numpy as np
 import pytest
 

@@ -111,6 +111,25 @@ class TestFilterbank:
         with pytest.raises(ValueError, match="read-only"):
             weights[0, 0] = 0.0
 
+    def test_shared_window_is_read_only_and_keeps_the_bits(self, rng):
+        """The cached Hamming window is `np.hamming(400)`, and the spectrogram is bitwise the one
+        a window built per call gives."""
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        from wlann.dsp.mel import _cached_filterbank, _cached_window
+
+        window = _cached_window()
+        assert _cached_window() is window
+        assert window.tobytes() == np.hamming(WINDOW_SAMPLES).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            window[0] = 0.0
+
+        samples = rng.uniform(-1.0, 1.0, 16000)
+        frames = sliding_window_view(samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
+        power = np.abs(np.fft.rfft(frames * np.hamming(WINDOW_SAMPLES), n=FFT_SIZE, axis=1)) ** 2
+        want = np.log(np.maximum(power @ _cached_filterbank().T, ENERGY_FLOOR)).T
+        assert log_mel(AudioClip(samples, 16000)).values.tobytes() == want.tobytes()
+
     def test_shape(self):
         weights, centers = mel_filterbank()
         assert weights.shape == (MEL_BINS, FFT_SIZE // 2 + 1)

@@ -1,12 +1,28 @@
-"""Sample-rate conversion: length law, identity, and tone fidelity."""
+"""Sample-rate conversion: length law, identity, tone fidelity, and the GEMM path's bound."""
+
+import importlib
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from wlann.dataio import AudioClip
 from wlann.dsp import resample
-from wlann.dsp.resample import _polyphase_kernel
+from wlann.dsp.resample import (
+    PERIOD_MATRIX_BYTES,
+    _period_matrix,
+    _period_shape,
+    _polyphase_kernel,
+    uses_gemm,
+)
 from wlann.errors import ValidationError
+
+resample_module = importlib.import_module("wlann.dsp.resample")  # `wlann.dsp.resample` is the function
+
+# Every standard rate the corpora and generic WAVs bring, to the model's 16 kHz; and one downsampler.
+GEMM_PAIRS = [(4000, 16000), (8000, 16000), (11025, 16000), (22050, 16000), (32000, 16000),
+              (44100, 16000), (48000, 16000), (96000, 16000), (16000, 8000)]
+GEMM_BOUND = 1e-15  # declared: max |GEMM path - resample_poly| on samples in [-1, 1]
 
 
 def tone(freq_hz, rate_hz, n, amplitude=0.5):
@@ -20,6 +36,13 @@ def quadrature_amplitude(samples, freq_hz, rate_hz):
     c = 2.0 * np.mean(samples * np.cos(2 * np.pi * freq_hz * t))
     s = 2.0 * np.mean(samples * np.sin(2 * np.pi * freq_hz * t))
     return float(np.hypot(c, s))
+
+
+def poly_reference(x, source_hz, target_hz):
+    """scipy's `resample_poly` with the module's kernel, cut and clipped as `resample` does."""
+    kernel, up, down = _polyphase_kernel(source_hz, target_hz)
+    out = resample_poly(x, up, down, window=kernel)[:round(x.size * target_hz / source_hz)]
+    return np.clip(out, -1.0, 1.0)
 
 
 def direct_sum(x, source_hz, target_hz):
@@ -104,3 +127,65 @@ class TestResample:
         clip = tone(100.0, 8000, 800)
         with pytest.raises(ValidationError):
             resample(clip, 0)
+
+
+def gemm_lengths(source_hz, target_hz):
+    """Input lengths at 8 s, under one period, one sample short of a period, one past it, and
+    under the kernel half-width."""
+    _, _, step, half_width = _period_shape(source_hz, target_hz)
+    return [8 * source_hz, step // 2, step - 1, step + 1, half_width - 1]
+
+
+class TestGemmPath:
+    @pytest.mark.parametrize("source_hz, target_hz", GEMM_PAIRS)
+    def test_within_declared_bound_of_resample_poly(self, source_hz, target_hz):
+        assert uses_gemm(source_hz, target_hz)
+        rng = np.random.default_rng(source_hz)
+        for n in gemm_lengths(source_hz, target_hz):
+            x = rng.uniform(-1.0, 1.0, n)
+            out = resample(AudioClip(x, source_hz), target_hz).samples
+            want = poly_reference(x, source_hz, target_hz)
+            assert out.shape == want.shape == (round(n * target_hz / source_hz),)
+            assert np.max(np.abs(out - want)) <= GEMM_BOUND, n
+
+    @pytest.mark.parametrize("source_hz, target_hz, gemm", [
+        *[(source_hz, target_hz, True) for source_hz, target_hz in GEMM_PAIRS],
+        (12000, 16000, True), (24000, 16000, True), (16000, 44100, True),
+        (44101, 16000, False), (16000, 44101, False), (48000, 44101, False),
+    ])
+    def test_gemm_path_is_chosen_per_rate_pair(self, source_hz, target_hz, gemm):
+        """Standard rates fit the budget; a pair whose reduced ratio has a large `up` (one
+        period is R >= 16000 outputs) keeps resample_poly."""
+        assert uses_gemm(source_hz, target_hz) == gemm
+
+    def test_large_period_falls_back_to_resample_poly(self, monkeypatch):
+        rows, outputs, _, _ = _period_shape(44101, 16000)
+        assert rows * outputs * 8 > PERIOD_MATRIX_BYTES
+
+        def refuse(*pair):
+            raise AssertionError(f"period matrix built for {pair}")
+
+        monkeypatch.setattr(resample_module, "_period_matrix", refuse)
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 44101)
+        out = resample(AudioClip(x, 44101), 16000).samples
+        np.testing.assert_array_equal(out, poly_reference(x, 44101, 16000))
+
+    @pytest.mark.parametrize("source_hz, target_hz", GEMM_PAIRS)
+    def test_period_matrix_cached_read_only_within_budget(self, source_hz, target_hz):
+        matrix = _period_matrix(source_hz, target_hz)
+        assert _period_matrix(source_hz, target_hz) is matrix
+        assert matrix.shape == _period_shape(source_hz, target_hz)[:2]
+        assert matrix.nbytes <= PERIOD_MATRIX_BYTES
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    def test_period_matrix_columns_hold_the_scaled_kernel(self):
+        """At 44.1 kHz a period is R = up outputs, one per polyphase branch, so its columns hold
+        every nonzero tap of the up-scaled kernel exactly once, at most 2 * half_width each."""
+        kernel, up, _ = _polyphase_kernel(44100, 16000)
+        matrix = _period_matrix(44100, 16000)
+        half_width = _period_shape(44100, 16000)[3]
+        assert np.count_nonzero(matrix, axis=0).max() <= 2 * half_width
+        np.testing.assert_array_equal(np.sort(matrix.ravel()[matrix.ravel() != 0]),
+                                      np.sort((kernel * up)[kernel != 0]))

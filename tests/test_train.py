@@ -504,6 +504,38 @@ print(os.environ["OPENBLAS_NUM_THREADS"], digest.hexdigest())
     def test_a_set_thread_count_wins(self):
         assert self.run(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
+    ORDER_SCRIPT = """
+import sys, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for name in sys.argv[1:]:
+        __import__(name)
+print(*[type(w.message).__name__ for w in caught] or ["none"])
+"""
+
+    @classmethod
+    def import_warnings(cls, *order, **variables) -> list[str]:
+        env = {k: v for k, v in os.environ.items() if k not in wlann.BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = str(Path(wlann.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", cls.ORDER_SCRIPT, *order],
+                              env={**env, **variables}, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_numpy_first_with_no_thread_variable_warns(self):
+        assert self.import_warnings("numpy", "wlann") == ["BlasThreadsWarning"]
+        assert issubclass(wlann.BlasThreadsWarning, UserWarning)
+        assert not issubclass(wlann.BlasThreadsWarning, RuntimeWarning)
+
+    @pytest.mark.parametrize("order, variables", [
+        (("wlann", "numpy"), {}),
+        (("numpy", "wlann"), {"OPENBLAS_NUM_THREADS": "2"}),
+        (("numpy", "wlann"), {"OMP_NUM_THREADS": "1"}),
+    ], ids=["wlann_first", "numpy_first_openblas_set", "numpy_first_omp_set"])
+    def test_pinned_or_chosen_thread_count_is_silent(self, order, variables):
+        assert self.import_warnings(*order, **variables) == ["none"]
+
 
 class TestConfigDtype:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
