@@ -16,12 +16,12 @@ FF_EXPANSION = 4
 
 @dataclass
 class AttentionParams(ParamGroup):
-    """Query/key/value/output projections for one attention layer."""
+    """Query/key/value/output projections for one attention layer. The key projection has
+    no bias: it would add q_i·b to every score in row i, a constant softmax cancels."""
 
     wq: Tensor = init(truncated_normal)
     bq: Tensor = init(0.0)
     wk: Tensor = init(truncated_normal)
-    bk: Tensor = init(0.0)
     wv: Tensor = init(truncated_normal)
     bv: Tensor = init(0.0)
     wo: Tensor = init(truncated_normal)
@@ -38,7 +38,7 @@ class AttentionParams(ParamGroup):
 
         return cls(
             wq=empty((dim, dim), "q.w"), bq=empty(dim, "q.b"),
-            wk=empty((dim, dim), "k.w"), bk=empty(dim, "k.b"),
+            wk=empty((dim, dim), "k.w"),
             wv=empty((dim, dim), "v.w"), bv=empty(dim, "v.b"),
             wo=empty((dim, dim), "out.w"), bo=empty(dim, "out.b"),
             heads=heads,
@@ -68,7 +68,7 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams, keep_cache
     if dim % heads != 0:
         raise ConfigError(f"embedding dim {dim} not divisible by {heads} heads")
     q, c_q = F.linear(x, params.wq, params.bq)
-    k, c_k = F.linear(x, params.wk, params.bk)
+    k, c_k = F.linear(x, params.wk, None)
     v, c_v = F.linear(x, params.wv, params.bv)
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(dim // heads)

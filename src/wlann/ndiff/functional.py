@@ -235,9 +235,6 @@ def conv1d_fft(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
     return y, (length, x_spec, w, b, stride)
 
 
-conv1d_fft_vjp = conv1d_vjp  # follows either path's cache
-
-
 _SPECTRUM_LOCK = threading.Lock()
 
 
@@ -338,11 +335,13 @@ def _fft_input_grad(dy_spec, w: Tensor, length, stride, l_out) -> np.ndarray:
 # Affine
 
 
-def linear(x: np.ndarray, w: Tensor, b: Tensor):
-    """Affine map on the trailing axis: (..., D_in) -> (..., D_out)."""
+def linear(x: np.ndarray, w: Tensor, b: Tensor | None):
+    """Affine map on the trailing axis: (..., D_in) -> (..., D_out); a None `b` adds no bias."""
     if x.shape[-1] != w.shape[1]:
         raise ShapeError(f"trailing dimension {x.shape[-1]} != weight input size {w.shape[1]}")
-    y = x @ w.data.T + b.data
+    y = x @ w.data.T
+    if b is not None:
+        y += b.data
     return y, (x, w, b)
 
 
@@ -351,7 +350,8 @@ def linear_vjp(dy: np.ndarray, cache):
     flat_x = x.reshape(-1, x.shape[-1])
     flat_dy = dy.reshape(-1, dy.shape[-1])
     w.add_grad(flat_dy.T @ flat_x)
-    b.add_grad(flat_dy.sum(axis=0))
+    if b is not None:
+        b.add_grad(flat_dy.sum(axis=0))
     return (flat_dy @ w.data).reshape(x.shape)
 
 

@@ -153,7 +153,7 @@ def run_gradient_suite(seed: int = 0, e2e_samples: int = 6) -> list[tuple[str, G
         ("focal_loss", _check_focal_loss(rng)),
         ("end_to_end_micro_model", _check_end_to_end(rng, samples_per_tensor=e2e_samples)),
         # Last, keeping the draws above; three 61-output blocks. No micro model layer takes it.
-        ("conv1d_fft", _op_check(rng, "fftconv", F.conv1d_fft, F.conv1d_fft_vjp, (2, 266),
+        ("conv1d_fft", _op_check(rng, "fftconv", F.conv1d_fft, F.conv1d_vjp, (2, 266),
                                  {"w": (3, 2, 7), "b": (3,)}, args=(2,))),
     ]
 

@@ -1,7 +1,9 @@
-"""Every function the benchmark tracer wraps still exists under its traced name.
+"""Every function the benchmark tracer wraps still exists under its traced name, and
+the package still calls what the workloads replace as they replace it.
 
-A renamed or deleted target would otherwise fail only the benchmark's own
-smoke test. `benchmarks/tracer.py` imports only the standard library.
+A renamed or deleted target, or a changed call, would otherwise fail only
+the benchmark's own smoke test or a benchmark run. `benchmarks/tracer.py`
+imports only the standard library.
 """
 
 import importlib
@@ -12,18 +14,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACER = BENCHMARKS / "tracer.py"
+WORKLOADS = BENCHMARKS / "workloads.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("wlann_benchmark_tracer", TRACER)
+def _load_benchmark_module(path: Path):
+    spec = importlib.util.spec_from_file_location(f"wlann_benchmark_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses looks its module up here
     spec.loader.exec_module(module)
     return module
 
 
-TARGETS = _load_tracer().TARGETS
+TARGETS = _load_benchmark_module(TRACER).TARGETS
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=[t.span for t in TARGETS])
@@ -56,3 +60,30 @@ def test_evaluate_looks_up_predict_scores_at_call_time(monkeypatch, tiny_corpus)
     monkeypatch.setattr(network, "predict_scores", recorder)
     evaluate(None, cfg, intra, corpus, jobs=2)
     assert calls == [(1, cfg.fixed_samples)] * len(intra.events)
+
+
+def test_train_step_calls_the_checked_optimizer_once_per_step_without_arguments(tiny_corpus):
+    """The train and fit workloads replace `state.optimizer.step` on the instance with a
+    function of no arguments (`_checked_optimizer`); `train_step` must call it so."""
+    from conftest import small_train_config
+    from wlann.train import TrainState, prepare_split, train_step
+
+    workloads = _load_benchmark_module(WORKLOADS)
+    corpus, train, _, _ = tiny_corpus
+    cfg = small_train_config()
+    batch = prepare_split(train, corpus, cfg)[:2]
+    state = TrainState.create(cfg)
+    failures = []
+    workloads._checked_optimizer(state, failures)
+    checked = state.optimizer.step
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        checked(*args, **kwargs)
+
+    state.optimizer.step = recorder
+    for _ in range(2):
+        train_step(batch, state)
+    assert calls == [((), {})] * 2
+    assert (failures, state.optimizer.step_count) == ([], 2)

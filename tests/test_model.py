@@ -83,8 +83,8 @@ class TestDefaultGeometry:
 
 class TestInitialization:
     @pytest.mark.parametrize("dtype, digest", [
-        ("float32", "a0e66153f1b316e3745b49ae7571dc69f3fdf3c135cff67881f543432f475133"),
-        ("float64", "a99ee722e01ad28a7bd146642c6dc142399274f54a94aaff54970630e5b1f22e"),
+        ("float32", "2eb8af429eb8bb20580a910e9a3675ce4ec2d421eaec69ba91c620fb819a3e44"),
+        ("float64", "19a61afb8af6c8684166bf91d7967e121eb1faf2d763e2db2a655af52e38e722"),
     ], ids=["float32", "float64"])
     def test_random_init_is_pinned(self, dtype, digest):
         """SHA-256 over each parameter's name and bytes. The draws follow field

@@ -639,7 +639,7 @@ class TestPooling:
 def all_heads_attention_reference(x, params):
     """The attention forward over all heads at once, with batched matmuls."""
     q, c_q = F.linear(x, params.wq, params.bq)
-    k, c_k = F.linear(x, params.wk, params.bk)
+    k, c_k = F.linear(x, params.wk, None)
     v, c_v = F.linear(x, params.wv, params.bv)
     qh, kh, vh = (_split_heads(t, params.heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(x.shape[1] // params.heads)
@@ -736,13 +736,16 @@ class TestAttention:
         assert peak <= 2 * head_bytes + 2**18, (peak, head_bytes)
 
     def test_single_head_matches_explicit_formula(self, rng):
-        """N=3, D=4, one head: independent composition of the textbook formula."""
+        """N=3, D=4, one head: independent composition of the textbook formula.
+
+        The formula's key bias is random: it adds q_i·b to every score in row i,
+        which softmax ignores, so the model, which has none, matches any."""
         params = AttentionParams.allocate(4, 1).initialize(rng, 0.02)
         x = rng.standard_normal((3, 4))
         y, _ = multi_head_self_attention(x, params)
 
         q = x @ params.wq.data.T + params.bq.data
-        k = x @ params.wk.data.T + params.bk.data
+        k = x @ params.wk.data.T + rng.standard_normal(4)
         v = x @ params.wv.data.T + params.bv.data
         scores = q @ k.T / np.sqrt(4)
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))

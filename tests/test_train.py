@@ -23,7 +23,7 @@ from wlann.dsp import spec_augment
 from wlann.errors import CheckpointError, NumericError, ShapeError, StorageError
 from wlann.model import (WlannParams, backward, forward, network, predict_scores,
                          prepare_input)
-from wlann.model.config import AugmentConfig, OptimizerConfig, WlannConfig
+from wlann.model.config import AstBranchConfig, AugmentConfig, OptimizerConfig, WlannConfig
 from wlann.ndiff import ParamGroup, Tensor
 from wlann.ndiff import functional as F
 from wlann.train import (
@@ -845,20 +845,20 @@ class TestStateRoundTrip:
         assert err.value.code == "shape_mismatch"
 
     def test_archive_tensor_table_at_default_config(self, tmp_path):
-        """The 73 parameters in Adam's order, then each parameter's m and v."""
+        """The 71 parameters in Adam's order, then each parameter's m and v."""
         names = [f"cnn.{i}.{n}" for i in range(4) for n in ("w", "b", "ln.gain", "ln.shift")]
         names += ["ast.embed.w", "ast.embed.b", "ast.pos"]
         for i in range(2):
             block = f"ast.block.{i}"
             names += [f"{block}.ln1.gain", f"{block}.ln1.shift"]
-            names += [f"{block}.attn.{p}.{k}" for p in ("q", "k", "v", "out") for k in ("w", "b")]
+            names += [f"{block}.attn.{p}" for p in ("q.w", "q.b", "k.w", "v.w", "v.b", "out.w", "out.b")]
             names += [f"{block}.ln2.gain", f"{block}.ln2.shift"]
             names += [f"{block}.{ff}.{k}" for ff in ("ff1", "ff2") for k in ("w", "b")]
         names += ["ast.final_ln.gain", "ast.final_ln.shift"]
         names += [f"gru.{d}.{m}{gate}" for d in ("fwd", "bwd") for gate in "zrh" for m in "wub"]
         names += ["head.w", "head.b"]
         expected = names + [f"adam.{k}.{name}" for name in names for k in ("m", "v")]
-        assert (len(names), len(expected)) == (73, 219)
+        assert (len(names), len(expected)) == (71, 213)
 
         path = tmp_path / "default.wlann"
         save_checkpoint(path, TrainState.create(WlannConfig()))
@@ -867,6 +867,57 @@ class TestStateRoundTrip:
             (header_len,) = struct.unpack("<I", handle.read(4))
             header = json.loads(handle.read(header_len))
         assert [entry["name"] for entry in header["tensors"]] == expected
+
+    def test_checkpoint_with_attention_key_biases_loads_with_one_warning(self, tmp_path):
+        """The older layout held a key bias `attn.k.b` per block, after `attn.k.w`, and its
+        two moments. Both loads warn once, naming only the biases, and give the scores and
+        state of the same archive without those six tensors."""
+        cfg = small_train_config(ast=AstBranchConfig(embed_dim=8, depth=2, heads=2))
+        state = TrainState.create(cfg)
+        batch = synthetic_batch(cfg, np.random.default_rng(6), n=2)
+        train_step(batch, state)
+        stripped = tmp_path / "stripped.wlann"
+        save_checkpoint(stripped, state)
+        archive = load_archive(stripped)
+        biases = [f"ast.block.{i}.attn.k.b" for i in range(cfg.ast.depth)]
+        names = []
+        for name in archive.tensors:
+            if not name.startswith("adam."):
+                names += [name, name[:-1] + "b"] if name.endswith("attn.k.w") else [name]
+        older_names = names + [f"adam.{k}.{name}" for name in names for k in ("m", "v")]
+        rng = np.random.default_rng(8)
+        extra = {name: (rng.standard_normal(cfg.ast.embed_dim) * 1e-8).astype(np.float32)
+                 for name in older_names if name not in archive.tensors}
+        assert sorted(extra) == sorted(f"{p}{b}" for b in biases for p in ("", "adam.m.", "adam.v."))
+        values = {**archive.tensors, **extra}
+        older = tmp_path / "older.wlann"
+        save_archive(older, archive.kind, archive.config,
+                     {name: values[name] for name in older_names}, archive.metadata)
+
+        def load(loader, path):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded = loader(path)
+            return loaded, [(w.category, str(w.message)) for w in caught]
+
+        (_, old_params, _), caught = load(load_checkpoint, older)
+        assert caught == [(UserWarning, f"checkpoint has unknown extra tensors: {biases}")]
+        (_, new_params, _), caught = load(load_checkpoint, stripped)
+        assert caught == []
+        old_state, caught = load(load_train_state, older)
+        assert caught == [(UserWarning, f"checkpoint has unknown extra tensors: {biases}")]
+        new_state, caught = load(load_train_state, stripped)
+        assert caught == []
+
+        def scores(params):
+            return [predict_scores(e.waveform, e.base_spec, params, cfg).tobytes() for e in batch]
+
+        assert scores(old_params) == scores(new_params) == scores(old_state.params)
+        old_named = {**old_state.params.named(), **old_state.optimizer.moments()}
+        new_named = {**new_state.params.named(), **new_state.optimizer.moments()}
+        assert list(old_named) == list(new_named) == list(archive.tensors)
+        for name, tensor in new_named.items():
+            assert old_named[name].data.tobytes() == tensor.data.tobytes(), name
 
     def test_load_checkpoint_returns_header_without_tensors(self, tmp_path):
         cfg = small_train_config(init_std=0.05)
