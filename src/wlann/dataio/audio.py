@@ -121,16 +121,20 @@ def load_wav(path: str | Path) -> AudioClip:
             f"{path}: data chunk of {len(data)} bytes is not a whole number of "
             f"{channels}-channel {bits}-bit frames"
         )
-    values = np.frombuffer(data, dtype=sample_type).astype(np.float64) / scale
-    if values.size == 0:
+    encoded = np.frombuffer(data, dtype=sample_type)
+    if encoded.size == 0:
         raise ValidationError(f"{path}: zero-length audio")
     if channels > 1:
         warnings.warn(f"{path}: {channels}-channel WAV, keeping channel 0", stacklevel=2)
-        values = values[::channels].copy()
-    peak = np.max(np.abs(values))
-    if peak > 1.0:
-        warnings.warn(f"{path}: samples exceed full scale (peak {peak:.4f}), clipping", stacklevel=2)
-        values = np.clip(values, -1.0, 1.0)
+        encoded = encoded[::channels]
+    # One pass; dividing by 2^15 (or 1) is exact, so this equals a cast followed by the division.
+    values = np.divide(encoded, scale, dtype=np.float64)
+    if audio_format == _WAVE_FORMAT_IEEE_FLOAT:  # |int16 / 32768| <= 1 always holds
+        peak = np.max(np.abs(values))
+        if peak > 1.0:
+            warnings.warn(f"{path}: samples exceed full scale (peak {peak:.4f}), clipping",
+                          stacklevel=2)
+            np.clip(values, -1.0, 1.0, out=values)
     return AudioClip(samples=values, sample_rate_hz=int(rate), source=str(path))
 
 

@@ -81,4 +81,5 @@ def apply_filter(bandpass: BandpassFilter, clip: AudioClip) -> AudioClip:
         )
     # The compiled section loop only accepts writable buffers; it writes to none of this one.
     filtered = sosfilt(bandpass.sos.copy(), clip.samples)
-    return AudioClip(np.clip(filtered, -1.0, 1.0), clip.sample_rate_hz, source=clip.source)
+    return AudioClip(np.clip(filtered, -1.0, 1.0, out=filtered), clip.sample_rate_hz,
+                     source=clip.source)

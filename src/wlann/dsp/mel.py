@@ -28,6 +28,8 @@ ENERGY_FLOOR = 1e-10
 WINDOW_SAMPLES = SAMPLE_RATE_HZ * WINDOW_MS // 1000  # 400
 HOP_SAMPLES = SAMPLE_RATE_HZ * HOP_MS // 1000  # 160
 
+_FRAMES_PER_BLOCK = 64  # frames per window/FFT/magnitude block: ~0.5 MB of scratch
+
 
 def hz_to_mel(freq_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
@@ -124,9 +126,20 @@ def log_mel(clip: AudioClip) -> LogMelSpectrogram:
     weights = _cached_filterbank()
 
     frames = sliding_window_view(clip.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
-    spectrum = np.fft.rfft(frames * _cached_window(), n=FFT_SIZE, axis=1)
-    power = np.abs(spectrum) ** 2
+    # Window, FFT and magnitude run per block of frames through cache-sized scratch; each
+    # frame's bits do not depend on the block it is in.
+    block = min(_FRAMES_PER_BLOCK, frames.shape[0])
+    windowed = np.empty((block, WINDOW_SAMPLES))
+    spectrum = np.empty((block, FFT_SIZE // 2 + 1), dtype=np.complex128)
+    power = np.empty((frames.shape[0], FFT_SIZE // 2 + 1))
+    for start in range(0, frames.shape[0], block):
+        count = min(block, frames.shape[0] - start)
+        np.multiply(frames[start:start + count], _cached_window(), out=windowed[:count])
+        np.fft.rfft(windowed[:count], n=FFT_SIZE, axis=1, out=spectrum[:count])
+        np.abs(spectrum[:count], out=power[start:start + count])
+    np.square(power, out=power)
 
+    # One GEMM over all frames: a block of one frame would go to gemv, which sums in another order.
     energies = power @ weights.T  # (frames, mel)
-    values = np.log(np.maximum(energies, ENERGY_FLOOR)).T
-    return LogMelSpectrogram(values)
+    np.maximum(energies, ENERGY_FLOOR, out=energies)
+    return LogMelSpectrogram(np.log(energies, out=energies).T)

@@ -88,24 +88,52 @@ def _period_matrix(source_hz: int, target_hz: int) -> np.ndarray:
     return matrix
 
 
+def _padded_windows(x: np.ndarray, first: int, count: int, step: int, rows: int,
+                    half_width: int) -> np.ndarray:
+    """The windows of periods first .. first + count - 1, over a zeroed copy of just their span."""
+    start = first * step - half_width
+    span = np.zeros((count - 1) * step + rows)
+    lo, hi = max(start, 0), min(start + span.size, x.size)
+    span[lo - start:hi - start] = x[lo:hi]
+    return as_strided(span, (count, rows), (step * span.itemsize, span.itemsize), writeable=False)
+
+
 def _resample_gemm(x: np.ndarray, source_hz: int, target_hz: int, n_out: int) -> np.ndarray:
-    """resample_poly's first n_out outputs, as period windows @ the period matrix."""
+    """resample_poly's first n_out outputs, as period windows @ the period matrix.
+
+    Period p's window is x[p * step - half_width:][:rows], read as zero outside x. Only the
+    head periods, whose windows start before x, and the tail periods, whose windows end after
+    it, go through small zeroed buffers; the interior windows are views of x itself. NumPy hands
+    a one-row matmul to gemv, which sums in another order, so each block keeps at least 2 rows,
+    and a clip too short for three such blocks takes one zeroed buffer.
+    """
     _, up, down = _polyphase_kernel(source_hz, target_hz)
     matrix = _period_matrix(source_hz, target_hz)
     rows, outputs, step, half_width = _period_shape(source_hz, target_hz)
+    x = np.ascontiguousarray(x)
 
     periods = -(-n_out // outputs)
     # x fits: the windows reach half_width >= 16 * down / up inputs past output n_out - 1.
-    padded = np.zeros((periods - 1) * step + rows)
-    padded[half_width:half_width + x.size] = x
-    windows = as_strided(padded, (periods, rows), (step * padded.itemsize, padded.itemsize),
-                         writeable=False)
+    head = max(2, -(-half_width // step))
+    tail = min(periods - 2, (x.size + half_width - rows) // step + 1)
+    if tail - head >= 2:
+        interior = as_strided(x[head * step - half_width:], (tail - head, rows),
+                              (step * x.itemsize, x.itemsize), writeable=False)
+        blocks = [(0, _padded_windows(x, 0, head, step, rows, half_width)),
+                  (head, interior),
+                  (tail, _padded_windows(x, tail, periods - tail, step, rows, half_width))]
+    else:
+        blocks = [(0, _padded_windows(x, 0, periods, step, rows, half_width))]
+
     out = np.empty((periods, outputs))
-    for first in range(0, outputs, _PHASES_PER_GEMM):
-        last = min(outputs, first + _PHASES_PER_GEMM) - 1
-        # Only the rows of these columns' sinc band.
-        lo, hi = first * down // up + 1, last * down // up + 2 * half_width + 1
-        np.matmul(windows[:, lo:hi], matrix[lo:hi, first:last + 1], out=out[:, first:last + 1])
+    for first_period, windows in blocks:
+        block_out = out[first_period:first_period + windows.shape[0]]
+        for first in range(0, outputs, _PHASES_PER_GEMM):
+            last = min(outputs, first + _PHASES_PER_GEMM) - 1
+            # Only the rows of these columns' sinc band.
+            lo, hi = first * down // up + 1, last * down // up + 2 * half_width + 1
+            np.matmul(windows[:, lo:hi], matrix[lo:hi, first:last + 1],
+                      out=block_out[:, first:last + 1])
     return out.reshape(-1)[:n_out]
 
 
@@ -144,4 +172,4 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 
         kernel, up, down = _polyphase_kernel(source_hz, target_hz)
         out = resample_poly(clip.samples, up, down, window=kernel)[:n_out]
-    return AudioClip(np.clip(out, -1.0, 1.0), target_hz, source=clip.source)
+    return AudioClip(np.clip(out, -1.0, 1.0, out=out), target_hz, source=clip.source)

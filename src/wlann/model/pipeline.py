@@ -33,7 +33,7 @@ def prepare_input(clip: AudioClip, cfg: WlannConfig) -> tuple[np.ndarray, LogMel
     applies `spec_augment` to it per step.
     """
     padded = _preprocess(clip, cfg)
-    waveform = padded[None, :].astype(cfg.numpy_dtype)
+    waveform = padded[None, :].astype(cfg.numpy_dtype, copy=False)
     spec = log_mel(AudioClip(padded, cfg.sample_rate_hz, source=clip.source))
     return waveform, spec
 
@@ -43,5 +43,7 @@ def _preprocess(clip: AudioClip, cfg: WlannConfig) -> np.ndarray:
     bandpass = design_butterworth_bandpass(
         cfg.bandpass.order, cfg.bandpass.low_hz, cfg.bandpass.high_hz, cfg.sample_rate_hz
     )
-    filtered = apply_filter(bandpass, resampled)
-    return pad_or_crop_center(filtered.samples, cfg.fixed_samples)
+    filtered = apply_filter(bandpass, resampled).samples
+    if filtered.size == cfg.fixed_samples:  # already a fresh array
+        return filtered
+    return pad_or_crop_center(filtered, cfg.fixed_samples)

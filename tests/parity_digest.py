@@ -15,19 +15,28 @@ whose digests agree trained bitwise alike:
   resampler's bits reach the digest.
 
 16 kHz clips take the resampler's identity path.
+
+Four more lines digest `prepare_input`'s waveform and log-mel (dtype,
+shape and bytes) at the shipped 8 s config, in float32 and float64:
+
+- `frontend_8s_44khz_wav`: a seeded 8 s 44.1 kHz PCM16 WAV read through
+  `load_wav`; the resampler reads its interior windows from the clip.
+- `frontend_0.2s_11khz`: a 0.2 s 11.025 kHz clip, too short for the
+  resampler's head/interior/tail blocks, so it takes the one-buffer path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import wlann  # noqa: F401  (first, so BLAS is pinned to one thread)
 
 import numpy as np
 
-from wlann.dataio import AudioClip
+from wlann.dataio import AudioClip, load_wav, write_wav
 from wlann.model import prepare_input
 from wlann.model.config import WlannConfig
 from wlann.train import PreparedExample, TrainState, train_step
@@ -62,7 +71,29 @@ def digest(make_config, batch_size: int, source_hz: int, dtype: str) -> str:
     return sha.hexdigest()
 
 
+def frontend_digest(clip: AudioClip, dtype: str) -> str:
+    waveform, spec = prepare_input(clip, WlannConfig(dtype=dtype))
+    sha = hashlib.sha256()
+    for array in (waveform, spec.values):
+        sha.update(str(array.dtype).encode() + str(array.shape).encode() + array.tobytes())
+    return sha.hexdigest()
+
+
+def frontend_clips(directory: Path) -> dict[str, AudioClip]:
+    rng = np.random.default_rng(11)
+    t = np.arange(8 * 44100) / 44100
+    tone = 0.3 * np.sin(2 * np.pi * 300.0 * t) + 0.1 * rng.standard_normal(t.size)
+    path = directory / "clip_44khz.wav"
+    write_wav(path, AudioClip(np.clip(tone, -1.0, 1.0), 44100))
+    return {"frontend_8s_44khz_wav": load_wav(path),
+            "frontend_0.2s_11khz": AudioClip(rng.uniform(-0.5, 0.5, 2205), 11025)}
+
+
 if __name__ == "__main__":
     for name, make_config, batch_size, source_hz in VARIANTS:
         for dtype in ("float32", "float64"):
             print(name, dtype, digest(make_config, batch_size, source_hz, dtype), flush=True)
+    with tempfile.TemporaryDirectory() as directory:
+        for name, clip in frontend_clips(Path(directory)).items():
+            for dtype in ("float32", "float64"):
+                print(name, dtype, frontend_digest(clip, dtype), flush=True)

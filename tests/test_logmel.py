@@ -29,6 +29,18 @@ def naive_dft(x):
     return np.exp(angles) @ x
 
 
+def whole_array_log_mel(samples):
+    """log_mel with every frame windowed, transformed and squared in one array (the reference),
+    with a Hamming window built per call."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from wlann.dsp.mel import _cached_filterbank
+
+    frames = sliding_window_view(samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    power = np.abs(np.fft.rfft(frames * np.hamming(WINDOW_SAMPLES), n=FFT_SIZE, axis=1)) ** 2
+    return np.log(np.maximum(power @ _cached_filterbank().T, ENERGY_FLOOR)).T
+
+
 class TestFftOracle:
     def test_rfft_matches_naive_dft(self, rng):
         """np.fft.rfft (the transform inside log_mel) vs the direct sum."""
@@ -114,9 +126,7 @@ class TestFilterbank:
     def test_shared_window_is_read_only_and_keeps_the_bits(self, rng):
         """The cached Hamming window is `np.hamming(400)`, and the spectrogram is bitwise the one
         a window built per call gives."""
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        from wlann.dsp.mel import _cached_filterbank, _cached_window
+        from wlann.dsp.mel import _cached_window
 
         window = _cached_window()
         assert _cached_window() is window
@@ -125,10 +135,17 @@ class TestFilterbank:
             window[0] = 0.0
 
         samples = rng.uniform(-1.0, 1.0, 16000)
-        frames = sliding_window_view(samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
-        power = np.abs(np.fft.rfft(frames * np.hamming(WINDOW_SAMPLES), n=FFT_SIZE, axis=1)) ** 2
-        want = np.log(np.maximum(power @ _cached_filterbank().T, ENERGY_FLOOR)).T
+        want = whole_array_log_mel(samples)
         assert log_mel(AudioClip(samples, 16000)).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("frames", [1, 2, 63, 64, 65, 98, 798, 1498])
+    def test_blocked_frames_keep_the_bits_of_the_whole_array_form(self, rng, frames):
+        """Window, FFT and magnitude run on blocks of frames; every bit equals the form that
+        transforms all frames at once, on both sides of each block edge."""
+        samples = rng.uniform(-1.0, 1.0, WINDOW_SAMPLES + (frames - 1) * HOP_SAMPLES + 37)
+        got = log_mel(AudioClip(samples, 16000)).values
+        assert got.shape == (MEL_BINS, frames)
+        assert got.tobytes() == whole_array_log_mel(samples).tobytes()
 
     def test_shape(self):
         weights, centers = mel_filterbank()

@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from scipy.signal import resample_poly
 
 from wlann.dataio import AudioClip
@@ -11,6 +12,7 @@ from wlann.dsp import resample
 from wlann.dsp.resample import (
     PERIOD_MATRIX_BYTES,
     _period_matrix,
+    _resample_gemm,
     _period_shape,
     _polyphase_kernel,
     uses_gemm,
@@ -189,3 +191,65 @@ class TestGemmPath:
         assert np.count_nonzero(matrix, axis=0).max() <= 2 * half_width
         np.testing.assert_array_equal(np.sort(matrix.ravel()[matrix.ravel() != 0]),
                                       np.sort((kernel * up)[kernel != 0]))
+
+
+def padded_gemm_reference(x, source_hz, target_hz, n_out):
+    """The GEMM path over one zero-padded copy of the whole clip, the form the views replace."""
+    _, up, down = _polyphase_kernel(source_hz, target_hz)
+    matrix = _period_matrix(source_hz, target_hz)
+    rows, outputs, step, half_width = _period_shape(source_hz, target_hz)
+    periods = -(-n_out // outputs)
+    padded = np.zeros((periods - 1) * step + rows)
+    padded[half_width:half_width + x.size] = x
+    windows = as_strided(padded, (periods, rows), (step * 8, 8), writeable=False)
+    out = np.empty((periods, outputs))
+    for first in range(0, outputs, resample_module._PHASES_PER_GEMM):
+        last = min(outputs, first + resample_module._PHASES_PER_GEMM) - 1
+        lo, hi = first * down // up + 1, last * down // up + 2 * half_width + 1
+        np.matmul(windows[:, lo:hi], matrix[lo:hi, first:last + 1], out=out[:, first:last + 1])
+    return out.reshape(-1)[:n_out]
+
+
+def guard_lengths(source_hz, target_hz):
+    """Input lengths one sample either side of where a period's window starts, where it ends,
+    and where its outputs end, for the first nine periods (so at, above and below the length
+    that first takes the head/interior/tail blocks), and at 8 s."""
+    rows, outputs, step, half_width = _period_shape(source_hz, target_hz)
+    edges = set()
+    for k in range(1, 10):
+        last_input = -(-k * outputs * source_hz // target_hz)
+        for edge in (k * step, k * step + rows - half_width, last_input):
+            edges.update((edge - 1, edge, edge + 1))
+    edges.add(8 * source_hz)
+    return sorted(n for n in edges if round(n * target_hz / source_hz) >= 1)
+
+
+class TestWindowsOverTheClip:
+    @pytest.mark.parametrize("source_hz, target_hz", GEMM_PAIRS)
+    def test_bitwise_equal_to_one_padded_copy(self, monkeypatch, source_hz, target_hz):
+        """Interior windows read the clip itself and only the head and tail periods are copied;
+        the outputs keep every bit of the padded form, on both the three-block path and the
+        one-buffer path that clips too short for three blocks of 2 or more periods take."""
+        spans = []
+        padded_windows = resample_module._padded_windows
+
+        def recording(x, first, count, *shape):
+            spans.append((first, count))
+            return padded_windows(x, first, count, *shape)
+
+        monkeypatch.setattr(resample_module, "_padded_windows", recording)
+        outputs = _period_shape(source_hz, target_hz)[1]
+        rng = np.random.default_rng(source_hz + target_hz)
+        paths = set()
+        for n in guard_lengths(source_hz, target_hz):
+            x = rng.uniform(-1.0, 1.0, n)
+            n_out = round(n * target_hz / source_hz)
+            spans.clear()
+            got = _resample_gemm(x, source_hz, target_hz, n_out)
+            want = padded_gemm_reference(x, source_hz, target_hz, n_out)
+            assert got.tobytes() == want.tobytes(), n
+            periods = -(-n_out // outputs)
+            one_buffer = spans == [(0, periods)]
+            assert one_buffer or (len(spans) == 2 and min(count for _, count in spans) >= 2), spans
+            paths.add(one_buffer)
+        assert paths == {True, False}

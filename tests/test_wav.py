@@ -1,6 +1,7 @@
 """WAV codec behavior: scaling, round trips, malformed input."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,42 @@ class TestLoadWav:
         path.write_bytes(raw_wav_bytes(b"\x00" * 24, bits=24))
         with pytest.raises(FormatError, match="unsupported"):
             load_wav(path)
+
+
+def two_pass_samples(payload, sample_type, scale, channels):
+    """The conversion `load_wav` replaces: every channel cast, divided, then channel 0 copied and
+    clipped to full scale."""
+    values = np.frombuffer(payload, dtype=sample_type).astype(np.float64) / scale
+    values = values[::channels].copy()
+    return np.clip(values, -1.0, 1.0) if np.max(np.abs(values)) > 1.0 else values
+
+
+class TestOnePassConversion:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_pcm16_bitwise_equal_to_two_passes(self, tmp_path, rng, channels):
+        ints = rng.integers(-32768, 32768, 4001 * channels).astype("<i2")
+        ints[:2] = (-32768, 32767)
+        path = tmp_path / "pcm.wav"
+        path.write_bytes(raw_wav_bytes(ints.tobytes(), channels=channels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = load_wav(path).samples
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == two_pass_samples(ints.tobytes(), "<i2", 32768.0, channels).tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("amplitude", [1.0, 1.5])
+    def test_float32_bitwise_equal_to_two_passes(self, tmp_path, rng, channels, amplitude):
+        """Float payloads keep the peak check: past full scale they are clipped, with a warning."""
+        floats = rng.uniform(-amplitude, amplitude, 3001 * channels).astype("<f4")
+        path = tmp_path / "float.wav"
+        path.write_bytes(raw_wav_bytes(floats.tobytes(), channels=channels, bits=32,
+                                       audio_format=3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = load_wav(path).samples
+        assert any("exceed full scale" in str(w.message) for w in caught) == (amplitude > 1.0)
+        assert got.tobytes() == two_pass_samples(floats.tobytes(), "<f4", 1.0, channels).tobytes()
 
 
 class TestRoundTrip:
