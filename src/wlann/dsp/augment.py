@@ -54,7 +54,7 @@ def _warp_positions(num_frames: int, pivot: int, shift: int) -> np.ndarray:
 def _linear_resample_columns(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
     lower = np.floor(positions).astype(np.int64)
     upper = np.minimum(lower + 1, values.shape[1] - 1)
-    frac = positions - lower
+    frac = (positions - lower).astype(values.dtype, copy=False)
     return values[:, lower] * (1.0 - frac) + values[:, upper] * frac
 
 

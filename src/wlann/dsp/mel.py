@@ -82,12 +82,15 @@ def mel_filterbank(
 
 @dataclass
 class LogMelSpectrogram:
-    """Log filterbank energies, shaped (mel bins, frames)."""
+    """Log filterbank energies, shaped (mel bins, frames): float32 or float64 values are kept as
+    given, anything else becomes float64."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.asarray(self.values)
+        if self.values.dtype not in (np.float32, np.float64):
+            self.values = self.values.astype(np.float64)
         if self.values.ndim != 2 or self.values.shape[0] != MEL_BINS:
             raise ValidationError(
                 f"log-mel values must be ({MEL_BINS}, frames), got {self.values.shape}"
@@ -102,41 +105,42 @@ class LogMelSpectrogram:
         return self.values.shape[1]
 
 
-@lru_cache(maxsize=1)
-def _cached_filterbank() -> np.ndarray:
-    weights = mel_filterbank()[0]
+@lru_cache(maxsize=2)
+def _cached_filterbank(dtype=np.float64) -> np.ndarray:
+    weights = mel_filterbank()[0].astype(dtype, copy=False)
     weights.flags.writeable = False
     return weights
 
 
-@lru_cache(maxsize=1)
-def _cached_window() -> np.ndarray:
-    window = np.hamming(WINDOW_SAMPLES)
+@lru_cache(maxsize=2)
+def _cached_window(dtype=np.float64) -> np.ndarray:
+    window = np.hamming(WINDOW_SAMPLES).astype(dtype, copy=False)
     window.flags.writeable = False
     return window
 
 
-def log_mel(clip: AudioClip) -> LogMelSpectrogram:
-    """Compute the (128, frames) log-mel spectrogram of a 16 kHz clip."""
+def log_mel(clip: AudioClip, dtype=np.float64) -> LogMelSpectrogram:
+    """Compute the (128, frames) log-mel spectrogram of a 16 kHz clip, in `dtype` from the window
+    on (float32 or float64)."""
+    from scipy.fft import rfft  # keeps float32, which np.fft.rfft does not
+
     if clip.sample_rate_hz != SAMPLE_RATE_HZ:
         raise ValidationError(
             f"log-mel extraction expects {SAMPLE_RATE_HZ} Hz input, got {clip.sample_rate_hz} Hz"
         )
     frame_count(len(clip))  # rejects clips shorter than one window
-    weights = _cached_filterbank()
+    weights, window = _cached_filterbank(dtype), _cached_window(dtype)
 
     frames = sliding_window_view(clip.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
     # Window, FFT and magnitude run per block of frames through cache-sized scratch; each
     # frame's bits do not depend on the block it is in.
     block = min(_FRAMES_PER_BLOCK, frames.shape[0])
-    windowed = np.empty((block, WINDOW_SAMPLES))
-    spectrum = np.empty((block, FFT_SIZE // 2 + 1), dtype=np.complex128)
-    power = np.empty((frames.shape[0], FFT_SIZE // 2 + 1))
+    windowed = np.empty((block, WINDOW_SAMPLES), dtype=dtype)
+    power = np.empty((frames.shape[0], FFT_SIZE // 2 + 1), dtype=dtype)
     for start in range(0, frames.shape[0], block):
         count = min(block, frames.shape[0] - start)
-        np.multiply(frames[start:start + count], _cached_window(), out=windowed[:count])
-        np.fft.rfft(windowed[:count], n=FFT_SIZE, axis=1, out=spectrum[:count])
-        np.abs(spectrum[:count], out=power[start:start + count])
+        np.multiply(frames[start:start + count], window, out=windowed[:count], dtype=dtype)
+        np.abs(rfft(windowed[:count], n=FFT_SIZE, axis=1), out=power[start:start + count])
     np.square(power, out=power)
 
     # One GEMM over all frames: a block of one frame would go to gemv, which sums in another order.

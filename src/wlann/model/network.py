@@ -178,7 +178,7 @@ def ast_branch(spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
     onto a common scale before fusion (the residual stream otherwise
     carries the raw log-energy offset of the input patches).
     """
-    values = spec.values.astype(cfg.numpy_dtype)
+    values = spec.values.astype(cfg.numpy_dtype, copy=False)
     if values.shape[0] != cfg.ast.mel_bins:
         raise ShapeError(f"expected {cfg.ast.mel_bins} mel bins, got {values.shape[0]}")
     flat, (f_p, t_p) = extract_patches(values, cfg.ast.patch_size, cfg.ast.patch_stride)

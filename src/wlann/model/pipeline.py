@@ -31,15 +31,22 @@ def prepare_input(clip: AudioClip, cfg: WlannConfig) -> tuple[np.ndarray, LogMel
     center pad-or-crop to the fixed duration. The spectrogram is computed
     from the same padded waveform and is never augmented here: training
     applies `spec_augment` to it per step.
+
+    This is where the config's dtype reaches the front end: the resampler's
+    GEMM and the whole log-mel run in it, and both outputs come back in it.
+    The band-pass always runs in float64: in float32 its rounding moves the
+    stop-band mel bins by up to ~4 log units.
     """
-    padded = _preprocess(clip, cfg)
-    waveform = padded[None, :].astype(cfg.numpy_dtype, copy=False)
-    spec = log_mel(AudioClip(padded, cfg.sample_rate_hz, source=clip.source))
+    dtype = cfg.numpy_dtype
+    padded = _preprocess(clip, cfg, dtype)
+    waveform = padded[None, :].astype(dtype, copy=False)
+    spec = log_mel(AudioClip(padded, cfg.sample_rate_hz, source=clip.source), dtype)
     return waveform, spec
 
 
-def _preprocess(clip: AudioClip, cfg: WlannConfig) -> np.ndarray:
-    resampled = resample(clip, cfg.sample_rate_hz)
+def _preprocess(clip: AudioClip, cfg: WlannConfig, dtype) -> np.ndarray:
+    """The float64 band-passed clip at the model rate and length; `dtype` is the resampler's."""
+    resampled = resample(clip, cfg.sample_rate_hz, dtype)
     bandpass = design_butterworth_bandpass(
         cfg.bandpass.order, cfg.bandpass.low_hz, cfg.bandpass.high_hz, cfg.sample_rate_hz
     )

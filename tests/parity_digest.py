@@ -16,13 +16,15 @@ whose digests agree trained bitwise alike:
 
 16 kHz clips take the resampler's identity path.
 
-Four more lines digest `prepare_input`'s waveform and log-mel (dtype,
+Six more lines digest `prepare_input`'s waveform and log-mel (dtype,
 shape and bytes) at the shipped 8 s config, in float32 and float64:
 
 - `frontend_8s_44khz_wav`: a seeded 8 s 44.1 kHz PCM16 WAV read through
   `load_wav`; the resampler reads its interior windows from the clip.
 - `frontend_0.2s_11khz`: a 0.2 s 11.025 kHz clip, too short for the
   resampler's head/interior/tail blocks, so it takes the one-buffer path.
+- `frontend_8s_8khz`: an 8 s 8 kHz clip, the corpus rate that `evaluate`
+  and `prepare_split` prepare.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def frontend_clips(directory: Path) -> dict[str, AudioClip]:
     path = directory / "clip_44khz.wav"
     write_wav(path, AudioClip(np.clip(tone, -1.0, 1.0), 44100))
     return {"frontend_8s_44khz_wav": load_wav(path),
-            "frontend_0.2s_11khz": AudioClip(rng.uniform(-0.5, 0.5, 2205), 11025)}
+            "frontend_0.2s_11khz": AudioClip(rng.uniform(-0.5, 0.5, 2205), 11025),
+            "frontend_8s_8khz": AudioClip(rng.uniform(-0.5, 0.5, 8 * 8000), 8000)}
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ Criteria (tolerances inline):
 
 import numpy as np
 import pytest
+from scipy.fft import rfft
 
 from wlann.dataio import AudioClip, Label, generate_synthetic_corpus, load_corpus_splits
 from wlann.dsp import design_butterworth_bandpass, frame_count, log_mel
@@ -217,7 +218,7 @@ class TestCriterion4DspFidelity:
             x = rng.standard_normal(512)
             k = np.arange(257)
             slow = np.exp(-2j * np.pi * np.outer(k, np.arange(512)) / 512) @ x
-            rel = np.abs(np.fft.rfft(x) - slow) / max(1.0, float(np.max(np.abs(slow))))
+            rel = np.abs(rfft(x) - slow) / max(1.0, float(np.max(np.abs(slow))))
             if np.max(rel) >= 1e-9:
                 fft_ok = False
                 break

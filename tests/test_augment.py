@@ -60,6 +60,17 @@ class TestDeterminism:
         assert not np.array_equal(a.values, b.values)
 
 
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_keeps_the_spectrogram_dtype(self, rng, dtype):
+        """Warped columns and mean-filled masks stay in the input's dtype."""
+        spec = LogMelSpectrogram(rng.uniform(-23.0, 0.0, (128, 60)).astype(dtype))
+        outs = [spec_augment(spec, AugmentConfig(5, 24, 2), seed).values for seed in range(4)]
+        assert [out.dtype for out in outs] == [np.dtype(dtype)] * 4
+        warped = spec_augment(spec, AugmentConfig(5, 0, 0), 0).values
+        assert warped.dtype == dtype and not np.array_equal(warped, spec.values)
+
+
 class TestStructure:
     def test_shape_never_changes(self, rng):
         for frames in (20, 61, 98):

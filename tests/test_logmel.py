@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import rfft
 
 from wlann.dataio import AudioClip
 from wlann.dsp import (
@@ -12,6 +13,7 @@ from wlann.dsp import (
     HOP_SAMPLES,
     MEL_BINS,
     WINDOW_SAMPLES,
+    LogMelSpectrogram,
     frame_count,
     hz_to_mel,
     log_mel,
@@ -43,10 +45,10 @@ def whole_array_log_mel(samples):
 
 class TestFftOracle:
     def test_rfft_matches_naive_dft(self, rng):
-        """np.fft.rfft (the transform inside log_mel) vs the direct sum."""
+        """scipy.fft.rfft (the transform inside log_mel) vs the direct sum."""
         for _ in range(5):
             x = rng.standard_normal(FFT_SIZE)
-            fast = np.fft.rfft(x)
+            fast = rfft(x)
             slow = naive_dft(x)
             rel = np.abs(fast - slow) / max(1.0, float(np.max(np.abs(slow))))
             assert np.max(rel) < 1e-9
@@ -147,6 +149,17 @@ class TestFilterbank:
         assert got.shape == (MEL_BINS, frames)
         assert got.tobytes() == whole_array_log_mel(samples).tobytes()
 
+    def test_float32_caches_round_the_float64_ones(self):
+        """The float32 window and filterbank are cached apart from the float64 ones, read-only,
+        and are those arrays rounded once."""
+        from wlann.dsp.mel import _cached_filterbank, _cached_window
+
+        for cached in (_cached_filterbank, _cached_window):
+            single = cached(np.float32)
+            assert cached(np.float32) is single and single.dtype == np.float32
+            assert single.tobytes() == cached(np.float64).astype(np.float32).tobytes()
+            assert not single.flags.writeable
+
     def test_shape(self):
         weights, centers = mel_filterbank()
         assert weights.shape == (MEL_BINS, FFT_SIZE // 2 + 1)
@@ -176,3 +189,24 @@ class TestFilterbank:
         # mel(700) = 2595 log10(2) by the HTK formula
         assert abs(float(hz_to_mel(700.0)) - 2595.0 * np.log10(2.0)) < 1e-12
         assert abs(float(hz_to_mel(700.0)) - 781.1728387480312) < 1e-9
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_values_are_kept_as_given(self, dtype):
+        values = np.zeros((MEL_BINS, 3), dtype)
+        assert LogMelSpectrogram(values).values is values
+
+    @pytest.mark.parametrize("values", [np.zeros((MEL_BINS, 3), np.float16),
+                                        np.zeros((MEL_BINS, 3), np.int64),
+                                        [[0.0] * 3] * MEL_BINS])
+    def test_other_values_become_float64(self, values):
+        assert LogMelSpectrogram(values).values.dtype == np.float64
+
+    def test_log_mel_computes_in_the_requested_dtype(self, rng):
+        """float32 comes back float32; float64 is the default, bit for bit."""
+        clip = AudioClip(rng.uniform(-1.0, 1.0, 16000), 16000)
+        single, double = log_mel(clip, np.float32).values, log_mel(clip, np.float64).values
+        assert single.dtype == np.float32 and double.dtype == np.float64
+        assert double.tobytes() == log_mel(clip).values.tobytes()
+        np.testing.assert_allclose(single, double, rtol=0, atol=1e-3)

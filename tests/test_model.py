@@ -32,6 +32,7 @@ from wlann.model.config import (
     CnnBranchConfig,
     OptimizerConfig,
 )
+from wlann.model import network as network_module
 from wlann.model.network import widest_layer
 from wlann.verify import micro_config
 
@@ -353,6 +354,27 @@ class TestPrepareInput:
         waveform, spec = prepare_input(clip, cfg)
         assert waveform.shape == (1, 16000)
         assert np.all(np.isfinite(waveform)) and np.all(np.isfinite(spec.values))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_both_views_reach_the_model_in_the_config_dtype(self, monkeypatch, dtype):
+        """`prepare_input` returns both views in the config's dtype, and `ast_branch` patches a
+        spectrogram of that dtype without copying it; any other dtype is cast."""
+        cfg = small_train_config(dtype=dtype)
+        clip = AudioClip(np.random.default_rng(4).uniform(-0.3, 0.3, 8000), 8000)
+        waveform, spec = prepare_input(clip, cfg)
+        assert waveform.dtype == spec.values.dtype == np.dtype(dtype)
+
+        seen = []
+        patches = network_module.extract_patches
+        monkeypatch.setattr(network_module, "extract_patches",
+                            lambda values, *args: seen.append(values) or patches(values, *args))
+        params = WlannParams.create(cfg)
+        other = LogMelSpectrogram(spec.values.astype(np.float64 if dtype == "float32" else np.float32))
+        for given in (spec, other):
+            tokens, _ = network_module.ast_branch(given, params, cfg, keep_cache=False)
+            assert tokens.dtype == np.dtype(dtype)
+        assert np.shares_memory(seen[0], spec.values)
+        assert seen[1].dtype == np.dtype(dtype)
 
     def test_pad_or_crop_identity(self, rng):
         x = rng.standard_normal(100)

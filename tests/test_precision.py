@@ -3,12 +3,16 @@
 Each op's float32 path has its own test; this one bounds what they add up
 to in the composed model. Both dtypes start from one float64
 initialization rounded to float32. So every difference comes from float32
-arithmetic and the float32 cast of the waveform. The config is
-`fft_layer_config`, whose widest layer (`cnn.1`) takes the FFT path.
+arithmetic: the model's, the float32 front end's (the clips are at the
+model rate, so of the front end only the log-mel runs in float32) and the
+float32 cast of the waveform. The config is `fft_layer_config`, whose
+widest layer (`cnn.1`) takes the FFT path.
 
 A difference is a relative max-norm, max|a32 - a64| / max|a64|. Each bound
 is 10x the value measured on x86-64 with OpenBLAS at one thread, rounded
-up to one digit; the measured value is noted beside it.
+up to one digit; the measured value is noted beside it. With the float32
+log-mel the values were re-measured and the bounds kept: only the gradient
+median and worst moved (8.2e-7 and 3.4e-6 with a float64 front end).
 """
 
 import numpy as np
@@ -23,7 +27,7 @@ from conftest import fft_layer_config
 
 SCORES_BOUND = 2e-6  # measured 1.0e-7
 LOSS_BOUND = 4e-6  # measured 3.1e-7
-GRAD_BOUND = 4e-5  # measured median 8.2e-7, worst 3.4e-6 (cnn.0.ln.shift)
+GRAD_BOUND = 4e-5  # measured median 8.3e-7, worst 3.5e-6 (cnn.0.ln.shift)
 TRAJECTORY_LOSS_BOUND = 2e-6  # measured 1.0e-7 at 3 steps of batch 2
 
 

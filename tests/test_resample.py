@@ -193,6 +193,33 @@ class TestGemmPath:
                                       np.sort((kernel * up)[kernel != 0]))
 
 
+class TestFloat32Gemm:
+    FLOAT32_BOUND = 6e-6  # declared: max |float32 - float64 GEMM| on [-1, 1]; measured 6.0e-7 (96 kHz)
+
+    @pytest.mark.parametrize("source_hz, target_hz", GEMM_PAIRS)
+    def test_within_declared_bound_of_float64(self, source_hz, target_hz):
+        """The float32 GEMM's clip is float64, as long as the float64 one, and within the bound."""
+        rng = np.random.default_rng(source_hz)
+        for n in gemm_lengths(source_hz, target_hz):
+            clip = AudioClip(rng.uniform(-1.0, 1.0, n), source_hz)
+            single = resample(clip, target_hz, np.float32).samples
+            double = resample(clip, target_hz).samples
+            assert single.dtype == np.float64 and single.shape == double.shape
+            assert np.max(np.abs(single - double)) <= self.FLOAT32_BOUND, n
+
+    def test_period_matrix_cached_per_dtype(self):
+        single = _period_matrix(44100, 16000, np.float32)
+        assert _period_matrix(44100, 16000, np.float32) is single
+        assert single.dtype == np.float32 and not single.flags.writeable
+        assert single.tobytes() == _period_matrix(44100, 16000).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("source_hz", [44101, 16000])
+    def test_fallback_and_identity_paths_ignore_the_dtype(self, source_hz):
+        clip = AudioClip(np.random.default_rng(source_hz).uniform(-1.0, 1.0, source_hz), source_hz)
+        single = resample(clip, 16000, np.float32).samples
+        assert single.tobytes() == resample(clip, 16000).samples.tobytes()
+
+
 def padded_gemm_reference(x, source_hz, target_hz, n_out):
     """The GEMM path over one zero-padded copy of the whole clip, the form the views replace."""
     _, up, down = _polyphase_kernel(source_hz, target_hz)
