@@ -29,6 +29,7 @@ WINDOW_SAMPLES = SAMPLE_RATE_HZ * WINDOW_MS // 1000  # 400
 HOP_SAMPLES = SAMPLE_RATE_HZ * HOP_MS // 1000  # 160
 
 _FRAMES_PER_BLOCK = 64  # frames per window/FFT/magnitude block: ~0.5 MB of scratch
+_FILTERS_PER_BAND = 8  # mel filters per banded filterbank GEMM
 
 
 def hz_to_mel(freq_hz):
@@ -113,6 +114,33 @@ def _cached_filterbank(dtype=np.float64) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
+def _cached_bands(dtype=np.float64) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+    """The cached filterbank in bands of `_FILTERS_PER_BAND` filters: (filters, bins, weights),
+    with the band's weights cut to the bins where any of its filters is nonzero, shaped
+    (bins, filters). 507 of the 32896 weights are nonzero."""
+    weights = _cached_filterbank(dtype)
+    bands = []
+    for start in range(0, MEL_BINS, _FILTERS_PER_BAND):
+        filters = slice(start, start + _FILTERS_PER_BAND)
+        nonzero = np.flatnonzero(weights[filters].any(axis=0))
+        bins = slice(nonzero[0], nonzero[-1] + 1)
+        bands.append((filters, bins, weights[filters, bins].T))
+    return tuple(bands)
+
+
+def mel_energies(power: np.ndarray) -> np.ndarray:
+    """(frames, 128) filterbank energies of a (frames, 257) power spectrum, in its dtype.
+
+    Each band of filters is one GEMM over all frames, written into its columns of the result.
+    Splitting by frames would send a block of one frame to gemv, which sums in another order.
+    """
+    energies = np.empty((power.shape[0], MEL_BINS), dtype=power.dtype)
+    for filters, bins, weights in _cached_bands(power.dtype.type):
+        np.matmul(power[:, bins], weights, out=energies[:, filters])
+    return energies
+
+
+@lru_cache(maxsize=2)
 def _cached_window(dtype=np.float64) -> np.ndarray:
     window = np.hamming(WINDOW_SAMPLES).astype(dtype, copy=False)
     window.flags.writeable = False
@@ -129,7 +157,7 @@ def log_mel(clip: AudioClip, dtype=np.float64) -> LogMelSpectrogram:
             f"log-mel extraction expects {SAMPLE_RATE_HZ} Hz input, got {clip.sample_rate_hz} Hz"
         )
     frame_count(len(clip))  # rejects clips shorter than one window
-    weights, window = _cached_filterbank(dtype), _cached_window(dtype)
+    window = _cached_window(dtype)
 
     frames = sliding_window_view(clip.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
     # Window, FFT and magnitude run per block of frames through cache-sized scratch; each
@@ -143,7 +171,6 @@ def log_mel(clip: AudioClip, dtype=np.float64) -> LogMelSpectrogram:
         np.abs(rfft(windowed[:count], n=FFT_SIZE, axis=1), out=power[start:start + count])
     np.square(power, out=power)
 
-    # One GEMM over all frames: a block of one frame would go to gemv, which sums in another order.
-    energies = power @ weights.T  # (frames, mel)
+    energies = mel_energies(power)
     np.maximum(energies, ENERGY_FLOOR, out=energies)
     return LogMelSpectrogram(np.log(energies, out=energies).T)

@@ -25,6 +25,10 @@ shape and bytes) at the shipped 8 s config, in float32 and float64:
   resampler's head/interior/tail blocks, so it takes the one-buffer path.
 - `frontend_8s_8khz`: an 8 s 8 kHz clip, the corpus rate that `evaluate`
   and `prepare_split` prepare.
+
+The last line, `bandpass_8s_16khz float64`, digests `apply_filter` alone (the
+shipped 4th-order 40-850 Hz band-pass on a seeded 8 s 16 kHz clip), so a
+moved front-end digest can be told apart as band-pass or log-mel bits.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import wlann  # noqa: F401  (first, so BLAS is pinned to one thread)
 import numpy as np
 
 from wlann.dataio import AudioClip, load_wav, write_wav
+from wlann.dsp import apply_filter, design_butterworth_bandpass
 from wlann.model import prepare_input
 from wlann.model.config import WlannConfig
 from wlann.train import PreparedExample, TrainState, train_step
@@ -92,6 +97,15 @@ def frontend_clips(directory: Path) -> dict[str, AudioClip]:
             "frontend_8s_8khz": AudioClip(rng.uniform(-0.5, 0.5, 8 * 8000), 8000)}
 
 
+def bandpass_digest() -> str:
+    cfg = WlannConfig()
+    bandpass = design_butterworth_bandpass(cfg.bandpass.order, cfg.bandpass.low_hz,
+                                           cfg.bandpass.high_hz, cfg.sample_rate_hz)
+    samples = np.random.default_rng(13).uniform(-0.5, 0.5, 8 * cfg.sample_rate_hz)
+    filtered = apply_filter(bandpass, AudioClip(samples, cfg.sample_rate_hz)).samples
+    return hashlib.sha256(str(filtered.dtype).encode() + filtered.tobytes()).hexdigest()
+
+
 if __name__ == "__main__":
     for name, make_config, batch_size, source_hz in VARIANTS:
         for dtype in ("float32", "float64"):
@@ -100,3 +114,4 @@ if __name__ == "__main__":
         for name, clip in frontend_clips(Path(directory)).items():
             for dtype in ("float32", "float64"):
                 print(name, dtype, frontend_digest(clip, dtype), flush=True)
+    print("bandpass_8s_16khz", "float64", bandpass_digest(), flush=True)

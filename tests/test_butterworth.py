@@ -3,15 +3,24 @@
 The oracle throughout is direct evaluation of each second-order section's
 b(z)/a(z) on the unit circle via polynomial arithmetic, independent of any
 filtering code, plus the analytic Butterworth band-pass magnitude.
+`TestAgainstScipy` also holds the NumPy design and block-state filter to
+`scipy.signal`'s `butter` and `sosfilt` within declared bounds.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wlann
 from wlann.dataio import AudioClip
 from wlann.dsp import apply_filter, design_butterworth_bandpass
+from wlann.dsp.butterworth import BLOCK
 from wlann.errors import ValidationError
 
 FS = 16000
@@ -157,3 +166,81 @@ class TestApplyFilter:
         clip = AudioClip(np.zeros(100), 8000)
         with pytest.raises(ValidationError, match="designed for"):
             apply_filter(bandpass, clip)
+
+
+def bound_signals(length, fs_hz):
+    """Uniform noise, a tone in noise, an impulse and DC, `length` samples at `fs_hz`."""
+    rng = np.random.default_rng(length)
+    t = np.arange(length) / fs_hz
+    impulse = np.zeros(length)
+    impulse[0] = 1.0
+    return {"noise": rng.uniform(-1.0, 1.0, length),
+            "tone": np.clip(0.5 * np.sin(2 * np.pi * 300.0 * t)
+                            + 0.1 * rng.standard_normal(length), -1.0, 1.0),
+            "impulse": impulse,
+            "dc": np.full(length, 0.5)}
+
+
+class TestAgainstScipy:
+    """The NumPy design and block-state filter against `scipy.signal.butter` and `sosfilt`.
+
+    Declared bounds on max|apply_filter - sosfilt| / max|x|, over the lengths and signals below:
+    ~10x the values measured on x86-64 (OpenBLAS, one thread). Against a long-double run of the
+    same sections the block filter is the closer of the two: on 32000 samples of noise it is
+    within 2e-15 at every design here, `sosfilt` within 2.2e-13. At 1-2 Hz `sosfilt`'s own
+    rounding drifts on DC (4.5e-12 after 40000 samples, the block filter 1.3e-13), which sets
+    that design's bound.
+    """
+
+    BOUND = {(4, 40.0, 850.0, 8000): 3e-13,  # measured 2.9e-14
+             (4, 40.0, 850.0, FS): 6e-13,  # measured 6.3e-14
+             (6, 20.0, 850.0, FS): 3e-12,  # HIGH_ORDER_DESIGNS; measured 3.1e-13
+             (8, 40.0, 850.0, FS): 1.3e-12,  # HIGH_ORDER_DESIGNS; measured 1.3e-13
+             (8, 1.0, 2.0, FS): 8e-10,  # measured 7.7e-11, on DC; 4.2e-13 on the other signals
+             (1, 40.0, 850.0, FS): 3e-14}  # measured 3.3e-15
+
+    @pytest.mark.parametrize("design", list(BOUND))
+    def test_sections_match_butter(self, design):
+        from scipy.signal import butter
+
+        order, low_hz, high_hz, fs_hz = design
+        expected = butter(order, (low_hz, high_hz), btype="bandpass", fs=fs_hz, output="sos")
+        designed = design_butterworth_bandpass(*design)
+        np.testing.assert_allclose(designed.sos, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 9600, 128000])
+    @pytest.mark.parametrize("design", list(BOUND))
+    def test_apply_filter_within_declared_bound(self, design, length):
+        from scipy.signal import sosfilt
+
+        designed = design_butterworth_bandpass(*design)
+        for name, samples in bound_signals(length, design[3]).items():
+            expected = np.clip(sosfilt(designed.sos.copy(), samples), -1.0, 1.0)
+            got = apply_filter(designed, AudioClip(samples, design[3])).samples
+            assert got.dtype == np.float64 and got.shape == samples.shape
+            error = np.max(np.abs(got - expected)) / np.max(np.abs(samples))
+            assert error <= self.BOUND[design], name
+
+
+def test_no_wlann_process_loads_scipy_signal():
+    """Synthesis and the front end at the standard rates run without `scipy.signal`: only the
+    resampler's fallback for rate pairs over its period budget imports it."""
+    script = textwrap.dedent("""
+        import sys, tempfile
+        import wlann
+        import numpy as np
+        from wlann.dataio import AudioClip, generate_synthetic_corpus
+        from wlann.model import prepare_input
+        from wlann.model.config import WlannConfig
+        with tempfile.TemporaryDirectory() as root:
+            generate_synthetic_corpus(1, seed=3, out_dir=root)
+        rng = np.random.default_rng(0)
+        for rate_hz in (8000, 16000, 44100, 48000):
+            prepare_input(AudioClip(rng.uniform(-0.5, 0.5, 2 * rate_hz), rate_hz), WlannConfig())
+        print("scipy.signal" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(wlann.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
