@@ -36,12 +36,15 @@ _INTER_PATIENTS = [f"sq{i:02d}" for i in range(4)]
 
 
 def _bandlimited_noise(rng: np.random.Generator, n: int, amplitude: float) -> np.ndarray:
+    # In place, in the order of the expression form, so the corpus bytes do not depend on it.
     bandpass = design_butterworth_bandpass(4, 40.0, 850.0, SYNTHETIC_RATE_HZ)
     noise = rng.standard_normal(n)
-    clip = AudioClip(np.clip(noise / (4.0 * noise.std() + 1e-12), -1, 1), SYNTHETIC_RATE_HZ)
+    noise /= 4.0 * noise.std() + 1e-12
+    clip = AudioClip(np.clip(noise, -1, 1, out=noise), SYNTHETIC_RATE_HZ)
     filtered = apply_filter(bandpass, clip).samples
-    peak = np.max(np.abs(filtered)) + 1e-12
-    return filtered * (amplitude / peak)
+    peak = max(filtered.max(), -filtered.min()) + 1e-12  # max |x|, without an |x| array
+    filtered *= amplitude / peak
+    return filtered
 
 
 def _synth_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -49,12 +52,23 @@ def _synth_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _synth_wheeze(rng: np.random.Generator, n: int) -> np.ndarray:
+    """0.45 * envelope * sin(2*pi*f*t + phase) plus a noise floor, computed in two arrays."""
     fundamental = rng.uniform(400.0, 800.0)
-    t = np.arange(n) / SYNTHETIC_RATE_HZ
+    t = np.arange(n, dtype=np.float64)
+    t /= SYNTHETIC_RATE_HZ
     # Slow amplitude modulation keeps the tone from being a pure sinusoid.
-    envelope = 0.75 + 0.25 * np.sin(2 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi))
-    tone = 0.45 * envelope * np.sin(2 * np.pi * fundamental * t + rng.uniform(0, 2 * np.pi))
-    return tone + _bandlimited_noise(rng, n, amplitude=0.05)
+    envelope = t * (2 * np.pi * rng.uniform(1.0, 3.0))
+    envelope += rng.uniform(0, 2 * np.pi)
+    np.sin(envelope, out=envelope)
+    envelope *= 0.25
+    envelope += 0.75
+    envelope *= 0.45
+    tone = t
+    tone *= 2 * np.pi * fundamental
+    tone += rng.uniform(0, 2 * np.pi)
+    envelope *= np.sin(tone, out=tone)
+    envelope += _bandlimited_noise(rng, n, amplitude=0.05)
+    return envelope
 
 
 def _synth_crackle(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -73,7 +87,7 @@ def _synth_crackle(rng: np.random.Generator, n: int) -> np.ndarray:
             2 * np.pi * rng.uniform(80.0, 300.0) * np.arange(length) / SYNTHETIC_RATE_HZ
         )
         signal[int(start) : int(start) + length] += burst[: n - int(start)]
-    return np.clip(signal, -0.95, 0.95)
+    return np.clip(signal, -0.95, 0.95, out=signal)
 
 
 _SYNTHESIZERS = {

@@ -135,7 +135,7 @@ def mel_energies(power: np.ndarray) -> np.ndarray:
     Splitting by frames would send a block of one frame to gemv, which sums in another order.
     """
     energies = np.empty((power.shape[0], MEL_BINS), dtype=power.dtype)
-    for filters, bins, weights in _cached_bands(power.dtype.type):
+    for filters, bins, weights in _cached_bands(power.dtype):
         np.matmul(power[:, bins], weights, out=energies[:, filters])
     return energies
 
@@ -157,7 +157,7 @@ def log_mel(clip: AudioClip, dtype=np.float64) -> LogMelSpectrogram:
             f"log-mel extraction expects {SAMPLE_RATE_HZ} Hz input, got {clip.sample_rate_hz} Hz"
         )
     frame_count(len(clip))  # rejects clips shorter than one window
-    window = _cached_window(dtype)
+    window = _cached_window(np.dtype(dtype))  # one cache entry per dtype, however spelled
 
     frames = sliding_window_view(clip.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
     # Window, FFT and magnitude run per block of frames through cache-sized scratch; each

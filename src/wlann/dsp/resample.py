@@ -112,7 +112,7 @@ def _resample_gemm(x: np.ndarray, source_hz: int, target_hz: int, n_out: int,
     and a clip too short for three such blocks takes one zeroed buffer.
     """
     _, up, down = _polyphase_kernel(source_hz, target_hz)
-    matrix = _period_matrix(source_hz, target_hz, dtype)
+    matrix = _period_matrix(source_hz, target_hz, np.dtype(dtype))  # one cache entry per dtype
     rows, outputs, step, half_width = _period_shape(source_hz, target_hz)
     x = np.ascontiguousarray(x, dtype=dtype)
 

@@ -100,27 +100,46 @@ class WlannParams(ParamGroup):
 # Waveform branch
 
 
-def widest_layer(cfg: WlannConfig) -> int:
-    """Index of the conv layer with the largest im2col buffer, C_in * K rows by L_out columns."""
-    widths = (1, *cfg.cnn.channel_widths)
-    lengths = cfg.conv_lengths()[1:]
-    return max(range(len(lengths)), key=lambda i: widths[i] * lengths[i])
+@dataclass(frozen=True)
+class LanePlan:
+    """A train step's helper-lane jobs per example, in queue order, and where the caller joins
+    each. Forward: the kernel spectra of FFT layers `spectra`, joined once layer `split`'s
+    convolution has returned; the spectrogram branch, queued then and joined before fusion.
+    Backward: the spectrogram VJP and layer `deferred`'s kernel gradient, both joined just
+    before `split`'s VJP; `split`'s kernel gradient, joined as that VJP returns. `split` is the
+    widest im2col layer, so its work runs only while the helper is idle or writes into buffers
+    the caller holds."""
+
+    split: int
+    spectra: tuple[int, ...]
+    deferred: int | None
+
+
+def lane_plan(cfg: WlannConfig) -> LanePlan:
+    """Idle until `split` returns, the helper prebuilds the spectra the caller needs above it;
+    the top layer's kernel gradient, which no layer below waits for, fills its idle time after
+    the spectrogram VJP."""
+    widths, lengths = (1, *cfg.cnn.channel_widths), cfg.conv_lengths()[1:]
+    layers = range(len(lengths))
+    split = max(layers, key=lambda i: widths[i] * lengths[i])
+    spectra = tuple(i for i in layers[split + 1 :]
+                    if F.uses_fft(widths[i], cfg.cnn.kernel, cfg.cnn.strides[i], lengths[i]))
+    return LanePlan(split, spectra, layers[-1] if layers[-1] > split else None)
 
 
 def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
-                    after_widest: Callable[[], None] | None = None, keep_cache: bool = True):
-    """(1, L) -> (F, T_common, C_w / F) time-frequency grid; `after_widest()`, if given,
-    runs once the widest layer's convolution has returned. The cache is None without
-    `keep_cache`, and each layer's activations are freed as the next layer starts."""
+                    keep_cache: bool = True, after: dict[int, Callable] | None = None):
+    """(1, L) -> (F, T_common, C_w / F) time-frequency grid; `after[i]()`, if given, runs once
+    layer i's convolution has returned. The cache is None without `keep_cache`, and each
+    layer's activations are freed as the next layer starts."""
     if waveform.shape != (1, cfg.fixed_samples):
         raise ShapeError(f"waveform must be (1, {cfg.fixed_samples}), got {waveform.shape}")
-    widest = widest_layer(cfg)
     x = waveform
     layer_caches = []
     for i, (layer, stride) in enumerate(zip(params.conv_layers, cfg.cnn.strides)):
         y, c_conv = F.conv1d(x, layer.w, layer.b, stride)
-        if i == widest and after_widest is not None:
-            after_widest()
+        if after and i in after:
+            after[i]()
         normed, c_ln = F.layer_norm(y.T, layer.ln_gain, layer.ln_shift)
         activated, c_act = F.gelu(normed)
         x = activated.T
@@ -136,25 +155,25 @@ def waveform_branch(waveform: np.ndarray, params: WlannParams, cfg: WlannConfig,
 
 
 def waveform_branch_vjp(dwo: np.ndarray, cache, executor: Executor | None = None,
-                        before_widest: Callable[[], None] | None = None):
-    """Walk the conv stack from the top, one `conv1d_vjp` per layer.
-
-    The widest layer's kernel gradient runs on the executor's thread, if
-    one is given. `before_widest`, if given, is called before that
-    layer's VJP. Each layer's cache is dropped from `cache` as the walk
-    passes it.
-    """
+                        buffers: dict | None = None, joins: list[Callable] | None = None):
+    """Walk the conv stack from the top, one `conv1d_vjp` per layer, dropping each layer's
+    cache from `cache` as it passes. With an executor, the plan's deferred and split layers'
+    kernel gradients run on its thread, into `buffers`; `joins`, and the deferred one's, run
+    just before the split layer's VJP (`LanePlan`)."""
     layer_caches, c_pool, cfg = cache
-    widest = widest_layer(cfg)
+    plan, joins = lane_plan(cfg), [] if joins is None else joins
     dpooled = dwo.transpose(1, 2, 0).reshape(cfg.time_patches, cfg.cnn.output_channels)
     dx = F.adaptive_mean_pool_vjp(dpooled, c_pool).T
     while layer_caches:
         i = len(layer_caches) - 1
         c_conv, c_ln, c_act = layer_caches.pop()
         dy = F.layer_norm_vjp(F.gelu_vjp(dx.T, c_act), c_ln).T
-        if i == widest and before_widest is not None:
-            before_widest()
-        dx = F.conv1d_vjp(dy, c_conv, need_dx=i > 0, executor=executor if i == widest else None)
+        if i == plan.split:
+            for join in joins:
+                join()
+        helper = executor if i in (plan.split, plan.deferred) else None
+        dx = F.conv1d_vjp(dy, c_conv, need_dx=i > 0, executor=helper, buffers=buffers,
+                          joins=joins if helper is not None and i == plan.deferred else None)
 
 
 # ---------------------------------------------------------------------------
@@ -255,40 +274,49 @@ def classify_head_vjp(dscores: np.ndarray, cache):
 # Whole model
 
 
-# The helper thread's lane (`F.Job`). The widest conv layer's work runs only while the
-# helper is idle or holds memory the caller allocated, whatever the threads' timing.
-
-
 def forward(waveform: np.ndarray, spec: LogMelSpectrogram, params: WlannParams, cfg: WlannConfig,
             executor: Executor | None = None, keep_cache: bool = True):
     """Full forward pass; returns (scores, cache). Deterministic and pure.
 
-    With an executor, the spectrogram branch is queued on it once the
-    widest conv layer has returned, and the caller runs the waveform
-    branch above that layer. A caller that is one of the executor's own
-    threads runs the branch itself if no thread has picked it up by the
-    time it needs it (`F.Job`), so the executor may be the pool the caller
-    runs on; any other caller waits for the executor. The branches
-    share no parameters, so every value is the same as without.
-    Without `keep_cache` the cache is None and no backward cache is held,
-    so the peak is one layer's working set, or two when the branches run
-    at once; the scores are the same.
+    With an executor, its thread is the helper lane of `lane_plan`: it runs
+    the spectrogram branch next to the waveform branch and, in a forward
+    that keeps its cache (a train step's, whose weights Adam has just
+    moved), first the plan's kernel spectra. A caller that is one of the
+    executor's own threads runs a job itself if no thread has picked it up
+    by the time it needs it (`F.Job`), so the executor may be the pool the
+    caller runs on; any other caller waits for the executor. The branches
+    share no parameters, so every value is the same as without. Without
+    `keep_cache` the cache is None and no backward cache is held, so the
+    peak is one layer's working set, or two when the branches run at once.
     """
+    plan = lane_plan(cfg)
+    jobs = [F.Job(executor, F.weight_spectrum, params.conv_layers[i].w, cfg.cnn.strides[i])
+            for i in (plan.spectra if keep_cache else ())]
     ast = F.Job(executor, ast_branch, spec, params, cfg, keep_cache)
-    wo, c_wave = waveform_branch(waveform, params, cfg, ast.start, keep_cache)
+    for job in jobs:
+        job.start()
+
+    def start_ast():  # the spectra were queued first, so they have ended or nearly so
+        for job in jobs:
+            job.wait()
+        ast.start()
+
+    wo, c_wave = waveform_branch(waveform, params, cfg, keep_cache, {plan.split: start_ast})
     ao, c_ast = ast.wait()
     fused, ast_channels = fuse(wo, ao)
     (scores, _), c_head = classify_head(fused, params, cfg)
     return scores, [c_wave, c_ast, ast_channels, c_head] if keep_cache else None
 
 
-def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None) -> None:
+def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None,
+             buffers: dict | None = None) -> None:
     """Accumulate parameter gradients for one example; empties `cache`.
 
-    With an executor, its thread runs the spectrogram branch's backward
-    while the caller walks the conv layers above the widest, and then
-    the widest layer's kernel gradient while the caller computes that
-    layer's input gradient. Each branch's activations are freed as that
+    With an executor, its thread is the helper lane of `lane_plan`: it runs
+    the spectrogram backward and then the top conv layer's kernel gradient
+    while the caller walks the conv layers, and the split layer's kernel
+    gradient while the caller computes that layer's input gradient, into
+    `buffers` (`conv1d_vjp`). Each branch's activations are freed as that
     branch finishes, and every job has ended when this returns.
     """
     c_wave, c_ast, ast_channels, c_head = cache
@@ -299,7 +327,7 @@ def backward(dscores: np.ndarray, cache: list, executor: Executor | None = None)
     ast = F.Job(executor, ast_branch_vjp, dao, c_ast)
     ast.start()
     del c_ast
-    waveform_branch_vjp(dwo, c_wave, executor, before_widest=ast.wait)
+    waveform_branch_vjp(dwo, c_wave, executor, buffers, [ast.wait])
 
 
 def predict_scores(

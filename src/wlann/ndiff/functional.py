@@ -124,31 +124,43 @@ def conv1d(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
     return path(x, w, b, stride)
 
 
-def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor | None = None):
+def conv1d_vjp(dy: np.ndarray, cache, need_dx: bool = True, executor: Executor | None = None,
+               buffers: dict | None = None, joins: list | None = None):
     """Accumulate the kernel and bias gradients; return the input gradient (None without `need_dx`).
 
     With an executor, the kernel gradient runs on its thread while the caller computes the
-    input gradient; without one, after it. The bits are the same either way.
+    input gradient; without one, after it. The bits are the same either way. That thread writes
+    into buffers the caller holds, so the peak does not depend on timing: the ones `buffers`
+    keeps per weight for every later call, else new ones. Given `joins`, the kernel gradient's
+    join (await it, add it to `w.grad`) is appended there for the caller to run, not run.
     """
     length, saved, w, b, stride = cache
     _, c_in, kernel = w.shape
-    # The helper writes into buffers allocated and held here: the peak does not depend on timing.
-    lend = (lambda *_: None) if executor is None else np.empty
-    w_grad = lend(w.shape, np.result_type(dy, w.data))
+    held = {} if buffers is None else buffers
+
+    def lend(role, shape, dtype):  # None without an executor: the pass allocates its own
+        if executor is not None and (w, role) not in held:
+            held[w, role] = np.empty(shape, dtype)
+        return held.get((w, role))
+
+    w_grad = lend("grad", w.shape, np.result_type(dy, w.data))
     if np.iscomplexobj(saved):  # the FFT path's input spectra
         spec = _block_spectra(dy, *_fft_blocks(kernel, stride, dy.shape[1])[1:])
         rows = max(hi - lo for lo, hi in _row_blocks(w.shape[0], saved))
-        scratch = lend((spec.shape[0], rows, saved.shape[1]), spec.dtype)
+        scratch = lend("products", (spec.shape[0], rows, saved.shape[1]), spec.dtype)
         weight = Job(executor, _fft_kernel_grad, spec, saved, w.shape, stride, w_grad, scratch)
         input_grad = partial(_fft_input_grad, spec, w, length, stride, dy.shape[1])
     else:
-        scratch = lend((c_in * kernel, dy.shape[1]), saved.dtype)
+        scratch = lend("columns", (c_in * kernel, dy.shape[1]), saved.dtype)
         weight = Job(executor, _im2col_kernel_grad, dy, saved, w.shape, stride, w_grad, scratch)
         input_grad = partial(_im2col_input_grad, dy, saved, w, length, stride)
     weight.start()
     dx = input_grad() if need_dx else None
-    w.add_grad(weight.wait())
     b.add_grad(dy.sum(axis=1))
+    if joins is None:
+        w.add_grad(weight.wait())
+    else:
+        joins.append(lambda: w.add_grad(weight.wait()))
     return dx
 
 
@@ -230,23 +242,20 @@ def conv1d_fft(x: np.ndarray, w: Tensor, b: Tensor, stride: int):
     del frames, padded
     # Correlation multiplies by the conjugated kernel spectrum; the first
     # `step` samples of each block are free of wrap-around.
-    frames = irfft(np.matmul(_weight_spectrum(w, stride), x_spec), FFT_SIZE, axis=0)[:step]
+    frames = irfft(np.matmul(weight_spectrum(w, stride), x_spec), FFT_SIZE, axis=0)[:step]
     y = frames.transpose(1, 2, 0).reshape(c_out, blocks * step)[:, :l_out] + b.data[:, None]
     return y, (length, x_spec, w, b, stride)
 
 
-_SPECTRUM_LOCK = threading.Lock()
-
-
-def _weight_spectrum(w: Tensor, stride: int) -> np.ndarray:
+def weight_spectrum(w: Tensor, stride: int) -> np.ndarray:
     """`_kernel_spectrum(w.data, stride)`, memoized in `w.spectrum`.
 
     The memo is reused only while the stride and the weight's shape, dtype and
     bytes equal its snapshot (bytes, not values: -0.0 == 0.0), so an in-place
-    update, a restore or a new `data` rebuilds it. The rebuild holds a lock:
-    threads sharing a weight build its spectrum once.
+    update, a restore or a new `data` rebuilds it. The rebuild holds the weight's
+    lock: threads sharing a weight build its spectrum once, and no other weight waits.
     """
-    with _SPECTRUM_LOCK:
+    with w.lock:
         memo, data, bits = w.spectrum, w.data, f"u{w.data.dtype.itemsize}"
         if (memo is None or memo[0] != stride or memo[1].dtype != data.dtype
                 or not np.array_equal(memo[1].view(bits), data.view(bits))):
@@ -316,7 +325,7 @@ def _fft_input_grad(dy_spec, w: Tensor, length, stride, l_out) -> np.ndarray:
     _, c_in, kernel = w.shape
     taps, step, blocks = _fft_blocks(kernel, stride, l_out)
     # kernelᵀ · conj(DY) per bin is the conjugate of the wanted spectrum.
-    spec = np.matmul(_weight_spectrum(w, stride).transpose(0, 2, 1), dy_spec)
+    spec = np.matmul(weight_spectrum(w, stride).transpose(0, 2, 1), dy_spec)
     np.conjugate(spec, out=spec)
     frames = irfft(spec, FFT_SIZE, axis=0).reshape(FFT_SIZE, c_in, stride, blocks)
     del spec

@@ -12,6 +12,7 @@ field declares its initializer with `init(rule)`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import field, fields
 from typing import Callable, Iterator
 
@@ -26,15 +27,17 @@ class Tensor:
     `spectrum` is the FFT convolution path's memo of this weight's kernel
     spectrum: (stride, a copy of `data`, spectrum), or None. It is reused
     only while `data` holds the copied bytes, so writes need not reset it.
+    `lock` guards it, one lock per tensor.
     """
 
-    __slots__ = ("name", "data", "grad", "spectrum")
+    __slots__ = ("name", "data", "grad", "spectrum", "lock")
 
     def __init__(self, data, name: str = ""):
         self.data = np.asarray(data)
         self.name = name
         self.grad: np.ndarray | None = None
         self.spectrum: tuple | None = None
+        self.lock = threading.Lock()
 
     @property
     def shape(self) -> tuple[int, ...]:

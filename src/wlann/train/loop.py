@@ -50,6 +50,8 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     loss_history: list[float] = field(default_factory=list)
+    # The helper's kernel-gradient buffers (`backward`), allocated once, reused every step.
+    lane_buffers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def create(cls, cfg: WlannConfig) -> "TrainState":
@@ -85,12 +87,12 @@ def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, 
     Each example's cached spectrogram is augmented by `spec_augment` with
     the config's `augment` strengths and a seed derived from (config
     seed, step, batch index); all-zero strengths leave it unchanged.
-    One helper thread, alive for this call only, runs the spectrogram
-    branch and the widest conv layer's kernel gradient next to the
-    waveform branch. The branches own disjoint parameters and each
-    example's work ends before the next begins, so the result is bitwise
-    that of one thread. `Adam.step` splits its update over a helper
-    thread of its own.
+    One helper thread, alive for this call only, runs the jobs of the lane
+    plan (`network.lane_plan`) next to the waveform branch, its kernel
+    gradients into `state.lane_buffers`. Each job joins at a fixed point of
+    its own example and adds to gradients no other lane touches, so the
+    result is bitwise that of one thread. `Adam.step` splits its update
+    over a helper thread of its own.
     """
     if not batch:
         raise ValidationError("training batch is empty")
@@ -114,7 +116,7 @@ def train_step(batch: list[PreparedExample], state: TrainState) -> tuple[float, 
             total_loss += loss
             if int(np.argmax(scores)) == example.label_index:
                 correct += 1
-            backward(focal_loss_vjp(scale, loss_cache), cache, helper)
+            backward(focal_loss_vjp(scale, loss_cache), cache, helper, state.lane_buffers)
             del cache, loss_cache  # free this example's activations before the next forward
     finally:
         helper.shutdown(cancel_futures=True)

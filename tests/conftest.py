@@ -59,6 +59,12 @@ def fft_layer_config(**overrides) -> WlannConfig:
     return small_train_config(fixed_input_seconds=6.0, **overrides)
 
 
+def two_fft_layer_config(**overrides) -> WlannConfig:
+    """`small_train_config` at 8 s: `cnn.1` and `cnn.2` take the FFT path, and the lane plan
+    builds `cnn.2`'s kernel spectrum on the helper."""
+    return small_train_config(fixed_input_seconds=8.0, **overrides)
+
+
 def separation_config(**overrides) -> WlannConfig:
     """The 1 s separation geometry (acceptance criterion 7), about 1.09M parameters."""
     defaults = dict(

@@ -176,6 +176,21 @@ class TestFilterbank:
             assert single.tobytes() == cached(np.float64).astype(np.float32).tobytes()
             assert not single.flags.writeable
 
+    def test_mixed_dtype_spellings_share_one_cache_entry(self, rng):
+        """A type, a `np.dtype` and a name build one window, filterbank and band set per dtype."""
+        from wlann.dsp.mel import _cached_bands, _cached_filterbank, _cached_window
+
+        clip = AudioClip(rng.uniform(-1.0, 1.0, 16000), 16000)
+        caches = (_cached_window, _cached_bands, _cached_filterbank)
+        for cached in caches:
+            cached.cache_clear()
+        for spellings, entries in (((np.float64, np.dtype("float64"), "float64"), 1),
+                                   ((np.float32, np.dtype("float32"), "float32"), 2)):
+            assert len({log_mel(clip, dtype).values.tobytes() for dtype in spellings}) == 1
+            for cached in caches:
+                info = cached.cache_info()
+                assert (info.currsize, info.misses) == (entries, entries), (cached, info)
+
     def test_shape(self):
         weights, centers = mel_filterbank()
         assert weights.shape == (MEL_BINS, FFT_SIZE // 2 + 1)

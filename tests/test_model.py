@@ -33,7 +33,7 @@ from wlann.model.config import (
     OptimizerConfig,
 )
 from wlann.model import network as network_module
-from wlann.model.network import widest_layer
+from wlann.model.network import lane_plan
 from wlann.verify import micro_config
 
 from conftest import float_arrays, separation_config, small_train_config, traced_peak
@@ -455,7 +455,7 @@ class TestStructuralIdentities:
         spec = LogMelSpectrogram(values=rng.standard_normal((128, cfg.spec_frames)))
         predict_scores(waveform, spec, params, cfg)  # first-call imports
         peak = traced_peak(lambda: predict_scores(waveform, spec, params, cfg))
-        widest = widest_layer(cfg)
+        widest = lane_plan(cfg).split
         rows = (1, *cfg.cnn.channel_widths)[widest] * cfg.cnn.kernel
         columns = rows * cfg.conv_lengths()[widest + 1] * 4
         assert peak <= columns + 2 * 2**20, (peak, columns)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wlann.errors import ShapeError, ValidationError
 from wlann.model.config import WlannConfig
-from wlann.model.network import widest_layer
+from wlann.model.network import lane_plan
 from wlann.ndiff import (
     AttentionParams,
     GruCellParams,
@@ -40,7 +40,7 @@ def tensor(values, name="t"):
 
 def widest_geometry(cfg):
     """(C_in, C_out, input length, kernel, stride) of the config's widest conv layer."""
-    i = widest_layer(cfg)
+    i = lane_plan(cfg).split
     widths = (1, *cfg.cnn.channel_widths)
     return widths[i], widths[i + 1], cfg.conv_lengths()[i], cfg.cnn.kernel, cfg.cnn.strides[i]
 
@@ -325,6 +325,42 @@ class TestConv1d:
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("geometry", [
+        pytest.param((8, 15, 800, 80, 4), id="im2col"),
+        pytest.param((8, 8, 8192 * 4 + 80, 80, 4), id="fft"),
+    ])
+    def test_deferred_join_and_reused_buffers_keep_the_bits(self, rng, geometry):
+        """With `joins`, the kernel gradient reaches `w.grad` only when the join runs; with
+        `buffers`, two calls write into the same buffers. The bits equal one thread's."""
+        c_in, c_out, length, kernel, stride = geometry
+        x = rng.standard_normal((c_in, length)).astype(np.float32)
+        w_data = rng.standard_normal((c_out, c_in, kernel)).astype(np.float32)
+        results = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for executor in (None, pool):
+                w, b = Tensor(w_data.copy(), name="w"), Tensor(np.zeros(c_out, np.float32), name="b")
+                buffers, grads = {}, []
+                for seed in (1, 2):
+                    y, cache = F.conv1d(x, w, b, stride)
+                    dy = np.random.default_rng(seed).standard_normal(y.shape).astype(np.float32)
+                    joins = [] if executor is not None else None
+                    before = None if w.grad is None else w.grad.copy()
+                    dx = F.conv1d_vjp(dy, cache, executor=executor, buffers=buffers, joins=joins)
+                    if joins is not None:
+                        assert len(joins) == 1
+                        assert (w.grad is None) == (before is None)
+                        assert before is None or w.grad.tobytes() == before.tobytes()
+                        joins.pop()()
+                        if seed == 1:
+                            first = dict(buffers)
+                    grads.append((dx, w.grad.copy()))
+                if executor is not None:
+                    assert len(first) == 2 and all(buffers[k] is v for k, v in first.items())
+                assert (executor is None) == (not buffers)
+                results.append(grads)
+        for (dx, grad), (want_dx, want_grad) in zip(*results):
+            assert dx.tobytes() == want_dx.tobytes() and grad.tobytes() == want_grad.tobytes()
+
     @pytest.mark.parametrize("config, fft_layers", [
         (WlannConfig(), [1, 2]),
         (separation_config(), []),
@@ -513,6 +549,30 @@ class TestKernelSpectrumMemo:
         assert builds == [(w.shape, stride)]
         want = self.cold(x, w, b, stride).tobytes()
         assert all(y.tobytes() == want for y in outputs)
+
+    def test_memo_hit_does_not_wait_for_another_weights_build(self, monkeypatch, rng):
+        """While one weight's spectrum is being built, a hit on another weight's memo returns."""
+        x, w, b, stride = self.layer(rng)
+        other = Tensor(rng.standard_normal(w.shape).astype(np.float32), name="other")
+        want = F.weight_spectrum(w, stride)
+        building, release = threading.Event(), threading.Event()
+        build = F._kernel_spectrum
+
+        def slow(data, step):
+            building.set()
+            release.wait(30)
+            return build(data, step)
+
+        monkeypatch.setattr(F, "_kernel_spectrum", slow)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(F.weight_spectrum, other, stride)
+            try:
+                assert building.wait(30)
+                got = F.weight_spectrum(w, stride)
+                assert not release.is_set() and got is want
+            finally:
+                release.set()
+            pending.result(timeout=60)
 
 
 class TestLinear:

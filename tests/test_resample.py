@@ -213,6 +213,17 @@ class TestFloat32Gemm:
         assert single.dtype == np.float32 and not single.flags.writeable
         assert single.tobytes() == _period_matrix(44100, 16000).astype(np.float32).tobytes()
 
+    def test_mixed_dtype_spellings_share_one_cache_entry(self):
+        """A type, a `np.dtype` and a name build one period matrix per dtype."""
+        clip = AudioClip(np.random.default_rng(3).uniform(-1.0, 1.0, 44100), 44100)
+        _period_matrix.cache_clear()
+        for spellings, entries in (((np.float64, np.dtype("float64"), "float64"), 1),
+                                   ((np.float32, np.dtype("float32"), "float32"), 2)):
+            outputs = {resample(clip, 16000, dtype).samples.tobytes() for dtype in spellings}
+            assert len(outputs) == 1
+            info = _period_matrix.cache_info()
+            assert (info.currsize, info.misses) == (entries, entries), info
+
     @pytest.mark.parametrize("source_hz", [44101, 16000])
     def test_fallback_and_identity_paths_ignore_the_dtype(self, source_hz):
         clip = AudioClip(np.random.default_rng(source_hz).uniform(-1.0, 1.0, source_hz), source_hz)

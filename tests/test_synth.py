@@ -24,6 +24,13 @@ class TestDeterminism:
         generate_synthetic_corpus(4, seed=7, out_dir=tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
+    def test_tree_bytes_pinned(self, tmp_path):
+        """The corpus bytes do not depend on how the synthesizers order their buffers: the
+        digest of the tree the expression-form synthesizers wrote (NumPy 2.4, x86-64)."""
+        generate_synthetic_corpus(2, seed=7, out_dir=tmp_path)
+        assert tree_digest(tmp_path) == (
+            "d0dabb5d76c1cd8685c780e5d284bfb25276c56952b86c7e115b2b95ea1a99f9")
+
     def test_different_seed_differs(self, tmp_path):
         generate_synthetic_corpus(4, seed=7, out_dir=tmp_path / "a")
         generate_synthetic_corpus(4, seed=8, out_dir=tmp_path / "b")

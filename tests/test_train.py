@@ -1,6 +1,7 @@
 """Training loop determinism, optimizer behavior, checkpoint round trips."""
 
 import errno
+import gc
 import json
 import os
 import struct
@@ -23,7 +24,8 @@ from wlann.dsp import spec_augment
 from wlann.errors import CheckpointError, NumericError, ShapeError, StorageError
 from wlann.model import (WlannParams, backward, forward, network, predict_scores,
                          prepare_input)
-from wlann.model.config import AstBranchConfig, AugmentConfig, OptimizerConfig, WlannConfig
+from wlann.model.config import (AstBranchConfig, AugmentConfig, CnnBranchConfig, OptimizerConfig,
+                                WlannConfig)
 from wlann.ndiff import ParamGroup, Tensor
 from wlann.ndiff import functional as F
 from wlann.train import (
@@ -47,7 +49,7 @@ from wlann.train import checkpoint
 import wlann.train.adam as adam_module
 
 from conftest import (fft_layer_config, float_arrays, separation_config, small_train_config,
-                      spectrum_builds, traced_peak)
+                      spectrum_builds, traced_peak, two_fft_layer_config)
 
 
 def synthetic_batch(cfg, rng, n=4):
@@ -285,8 +287,8 @@ def serial_train_step(batch, state) -> float:
 
 def record_conv_calls(monkeypatch) -> list[tuple]:
     """In call order: ("conv1d", kernel name) per `F.conv1d` call, ("conv1d_vjp", kernel name,
-    executor given) per `F.conv1d_vjp` call, and ("kernel_grad", run off the main thread) per
-    kernel-gradient pass, on either conv path."""
+    executor given) per `F.conv1d_vjp` call, and ("kernel_grad", kernel shape, run off the main
+    thread) per kernel-gradient pass, on either conv path."""
     calls = []
     conv1d, conv1d_vjp = F.conv1d, F.conv1d_vjp
 
@@ -299,9 +301,10 @@ def record_conv_calls(monkeypatch) -> list[tuple]:
         return conv1d_vjp(dy, cache, **kwargs)
 
     def recording_pass(kernel_grad):
-        def run(*args):
-            calls.append(("kernel_grad", threading.current_thread() is not threading.main_thread()))
-            return kernel_grad(*args)
+        def run(dy, saved, shape, *args):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            calls.append(("kernel_grad", shape, on_helper))
+            return kernel_grad(dy, saved, shape, *args)
         return run
 
     monkeypatch.setattr(F, "conv1d", recording_conv1d)
@@ -374,7 +377,7 @@ class TestTwoThreadStep:
         example = synthetic_batch(cfg, np.random.default_rng(9), n=1)[0]
         params = WlannParams.create(cfg)
         owned = {id(t.data) for t in params.tensors()}
-        widest = network.widest_layer(cfg)
+        widest = network.lane_plan(cfg).split
         seen = []
         conv1d_vjp = F.conv1d_vjp
 
@@ -400,19 +403,39 @@ class TestTwoThreadStep:
         for threads in (1, 2)
     ])
     def test_one_conv1d_vjp_per_layer_per_example(self, monkeypatch, threads, make_config):
-        """Only the widest layer's VJP gets the executor, and only in the two-thread step;
-        its kernel-gradient pass then runs on the helper, every other one on the caller."""
+        """The lane plan's lanes: in the two-thread step the split layer's and the deferred
+        top layer's VJPs get the executor and their kernel-gradient passes run on the helper,
+        each after its VJP started and before its join point; every other pass runs on the
+        caller, in the caller's order."""
         cfg = make_config()
-        widest = network.widest_layer(cfg)
+        plan = network.lane_plan(cfg)
         calls = record_conv_calls(monkeypatch)
         step = train_step if threads == 2 else serial_train_step
         step(synthetic_batch(cfg, np.random.default_rng(5), n=2), TrainState.create(cfg))
         layers = list(range(len(cfg.cnn.channel_widths)))
+        widths = (1, *cfg.cnn.channel_widths)
+        shapes = [(widths[i + 1], widths[i], cfg.cnn.kernel) for i in layers]
+        on_helper = {plan.split, plan.deferred} if threads == 2 else set()
         example = [("conv1d", f"cnn.{i}.w") for i in layers]
         for i in reversed(layers):
-            helper = threads == 2 and i == widest
-            example += [("conv1d_vjp", f"cnn.{i}.w", helper), ("kernel_grad", helper)]
-        assert calls == example * 2
+            example.append(("conv1d_vjp", f"cnn.{i}.w", i in on_helper))
+            if i not in on_helper:
+                example.append(("kernel_grad", shapes[i], False))
+        helper = [(k, call) for k, call in enumerate(calls) if call[0] == "kernel_grad" and call[2]]
+        assert [call for call in calls if call[0] != "kernel_grad" or not call[2]] == example * 2
+        if threads == 1:
+            assert not helper
+            return
+        # Each helper pass lies between its VJP's call and the caller's next call after its
+        # join: the split layer's VJP for the deferred layer, the layer below for the split.
+        assert [call for _, call in helper] == [("kernel_grad", shapes[i], True)
+                                                for i in (plan.deferred, plan.split)] * 2
+        vjps = [k for k, call in enumerate(calls) if call[0] == "conv1d_vjp"]
+        for n, (k, _) in enumerate(helper):
+            example_vjps = vjps[len(layers) * (n // 2):][:len(layers)]
+            started = example_vjps[layers[-1] - (plan.deferred, plan.split)[n % 2]]
+            joined = example_vjps[layers[-1] - plan.split + n % 2]
+            assert started < k < joined, (calls, k)
 
     def test_predict_scores_passes_no_executor(self, monkeypatch):
         cfg = small_train_config()
@@ -427,6 +450,91 @@ class TestTwoThreadStep:
         before = set(threading.enumerate())
         train_step(synthetic_batch(cfg, np.random.default_rng(8), n=1), TrainState.create(cfg))
         assert not set(threading.enumerate()) - before
+
+
+class TestLanePlan:
+    @pytest.mark.parametrize("make_config, plan", [
+        (WlannConfig, (1, (2,), 3)),
+        (separation_config, (1, (), 3)),
+        (small_train_config, (1, (), 3)),
+        (fft_layer_config, (1, (), 3)),
+        (two_fft_layer_config, (1, (2,), 3)),
+    ], ids=["default_8s", "separation_1s", "small", "small_6s", "small_8s"])
+    def test_plan_per_geometry(self, make_config, plan):
+        """Split at the widest im2col layer, spectra of the FFT layers above it, the top
+        layer's kernel gradient deferred."""
+        assert network.lane_plan(make_config()) == network.LanePlan(*plan)
+
+    def test_plan_without_a_layer_above_the_split(self):
+        """A stack whose widest layer is the top one has nothing to defer or prebuild."""
+        cfg = small_train_config(cnn=CnnBranchConfig(kernel=80, initial_stride=5,
+                                                     block_strides=(4,), channel_widths=(8, 60)))
+        assert network.lane_plan(cfg) == network.LanePlan(1, (), None)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_spectra_on_the_helper_bitwise_equal_to_one_thread(self, dtype):
+        """At the two-FFT-layer geometry, where the helper builds `cnn.2`'s spectrum."""
+        cfg = two_fft_layer_config(dtype=dtype, augment=AugmentConfig(time_warp_frames=2), seed=8)
+        batch = synthetic_batch(cfg, np.random.default_rng(6), n=2)
+        threaded, serial = TrainState.create(cfg), TrainState.create(cfg)
+        for _ in range(2):
+            assert train_step(batch, threaded)[0] == serial_train_step(batch, serial)
+        pairs = zip([*threaded.params.tensors(), *threaded.optimizer.m, *threaded.optimizer.v],
+                    [*serial.params.tensors(), *serial.optimizer.m, *serial.optimizer.v])
+        for got, want in pairs:
+            assert got.data.tobytes() == want.data.tobytes(), got.name
+
+    def test_each_step_builds_each_spectrum_once_on_its_lane(self, monkeypatch):
+        """Batch 2, three steps: per step `cnn.1`'s spectrum is built on the caller and
+        `cnn.2`'s on the helper, once each."""
+        cfg = two_fft_layer_config()
+        plan = network.lane_plan(cfg)
+        state = TrainState.create(cfg)
+        batch = synthetic_batch(cfg, np.random.default_rng(3), n=2)
+        builds, build = [], F._kernel_spectrum
+
+        def recording(w, stride):
+            builds.append((w.shape, threading.current_thread() is not threading.main_thread()))
+            return build(w, stride)
+
+        monkeypatch.setattr(F, "_kernel_spectrum", recording)
+        shape = lambda i: state.params.conv_layers[i].w.shape  # noqa: E731
+        for _ in range(3):
+            builds.clear()
+            train_step(batch, state)
+            assert sorted(builds) == sorted([(shape(plan.split), False),
+                                             *[(shape(i), True) for i in plan.spectra]])
+
+    def test_inference_queues_no_spectrum_job(self, monkeypatch):
+        """`predict_scores` on a one-worker pool builds every spectrum on the caller."""
+        cfg = two_fft_layer_config()
+        example = synthetic_batch(cfg, np.random.default_rng(4), n=1)[0]
+        builds, build = [], F._kernel_spectrum
+
+        def recording(w, stride):
+            builds.append(threading.current_thread() is threading.main_thread())
+            return build(w, stride)
+
+        monkeypatch.setattr(F, "_kernel_spectrum", recording)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            predict_scores(example.waveform, example.base_spec, WlannParams.create(cfg), cfg, pool)
+        assert builds == [True, True]
+
+    def test_two_thread_step_peak_is_fixed(self):
+        """Ten fresh states, one traced step each (after four to warm the interpreter): the
+        peaks agree to 16 KiB, well under the 70 KiB of the smallest buffer a helper job
+        writes into here (`cnn.3`'s kernel gradient). Python's own objects (the step's and
+        Adam's pool threads and work items, tables resized before tracing began) move the
+        peak by up to ~2.3 KiB, so the test does not ask for equal bytes."""
+        cfg = small_train_config()
+        batch = synthetic_batch(cfg, np.random.default_rng(1234), n=2)
+        peaks = []
+        for _ in range(14):
+            state = TrainState.create(cfg)
+            train_step(batch, state)  # first-call imports, caches and lane buffers
+            gc.collect()
+            peaks.append(traced_peak(lambda: train_step(batch, state)))
+        assert max(peaks[4:]) - min(peaks[4:]) <= 16 << 10, peaks
 
 
 class TestKernelSpectrumMemo:
