@@ -12,6 +12,7 @@ from . import functional as F
 from .tensor import ParamGroup, Tensor, init, truncated_normal
 
 FF_EXPANSION = 4
+SOFTMAX_VJP_ROW_BYTES = 96 << 10  # the attention VJP's row scratch
 
 
 @dataclass
@@ -55,13 +56,26 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, heads * d_h)
 
 
+def _head_weights(q: np.ndarray, k: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """One head's (N, N) softmax weights of its (N, d_h) queries and keys, built in `out`.
+
+    The forward and the VJP both call this, so the VJP's rebuilt weights
+    are the forward's bits.
+    """
+    np.matmul(q, k.T, out=out)
+    out *= scale
+    F.softmax(out, axis=-1, out=out)
+    return out
+
+
 def multi_head_self_attention(x: np.ndarray, params: AttentionParams, keep_cache: bool = True):
     """Scaled dot-product attention over a (N, D) token sequence, one head at a time.
 
-    Each head's weights overwrite its (N, N) scores: in the cached (h, N, N)
-    weights with `keep_cache`, else in one buffer all heads reuse, and the
-    cache is None. Per head these are the GEMMs and row reductions a batched
-    matmul over the heads makes, so the bits are the same.
+    Every head builds its weights in one (N, N) buffer the heads share, in
+    both modes. The cache holds the per-head queries, keys and values, not
+    the weights: the VJP rebuilds them. Without `keep_cache` it is None.
+    Per head these are the GEMMs and row reductions a batched matmul over
+    the heads makes, so the bits are the same.
     """
     n, dim = x.shape
     heads = params.heads
@@ -72,36 +86,40 @@ def multi_head_self_attention(x: np.ndarray, params: AttentionParams, keep_cache
     v, c_v = F.linear(x, params.wv, params.bv)
     qh, kh, vh = (_split_heads(t, heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(dim // heads)
-    attn = np.empty((heads if keep_cache else 1, n, n), q.dtype)
+    weights = np.empty((n, n), q.dtype)
     context = np.empty(qh.shape, q.dtype)  # (h, N, d_h)
     for i in range(heads):
-        scores = attn[i if keep_cache else 0]
-        np.matmul(qh[i], kh[i].T, out=scores)
-        scores *= scale
-        F.softmax(scores, axis=-1, out=scores)
-        np.matmul(scores, vh[i], out=context[i])
+        np.matmul(_head_weights(qh[i], kh[i], scale, weights), vh[i], out=context[i])
     y, c_o = F.linear(_merge_heads(context), params.wo, params.bo)
-    if not keep_cache:
-        return y, None
-    c_soft = (attn, -1)  # `F.softmax`'s cache over all heads
-    return y, (c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, heads)
+    return y, (c_q, c_k, c_v, c_o, qh, kh, vh, scale, heads) if keep_cache else None
 
 
 def multi_head_self_attention_vjp(dy: np.ndarray, cache):
-    """One head at a time: two (N, N) gradients are live at once, not two per head."""
-    c_q, c_k, c_v, c_o, (attn, axis), qh, kh, vh, _, scale, heads = cache
+    """One head at a time, in two (N, N) buffers all heads reuse: the head's weights,
+    rebuilt by `_head_weights`, and its score gradient.
+
+    The softmax VJP runs `SOFTMAX_VJP_ROW_BYTES` of rows at a time into one
+    row scratch and is scaled back into the score gradient, so nothing of
+    size (N, N) is allocated per head.
+    """
+    c_q, c_k, c_v, c_o, qh, kh, vh, scale, heads = cache
     dmerged = F.linear_vjp(dy, c_o)
     dcontext = _split_heads(dmerged, heads)
     dqh, dkh, dvh = (np.empty(dcontext.shape, dcontext.dtype) for _ in range(3))
+    n = qh.shape[1]
+    weights, dscores = (np.empty((n, n), qh.dtype) for _ in range(2))
+    rows = max(1, SOFTMAX_VJP_ROW_BYTES // dscores[0].nbytes)
+    scratch = np.empty((min(rows, n), n), qh.dtype)
     for i in range(heads):
-        dattn = dcontext[i] @ vh[i].T
-        np.matmul(attn[i].T, dcontext[i], out=dvh[i])
-        dscores = F.softmax_vjp(dattn, (attn[i], axis))
-        del dattn
-        dscores *= scale
+        _head_weights(qh[i], kh[i], scale, weights)
+        np.matmul(weights.T, dcontext[i], out=dvh[i])
+        np.matmul(dcontext[i], vh[i].T, out=dscores)  # the weights' gradient, overwritten below
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            dsoft = F.softmax_vjp(dscores[a:b], (weights[a:b], -1), out=scratch[: b - a])
+            np.multiply(dsoft, scale, out=dscores[a:b])
         np.matmul(dscores, kh[i], out=dqh[i])
         np.matmul(dscores.T, qh[i], out=dkh[i])
-        del dscores
     dx = F.linear_vjp(_merge_heads(dqh), c_q)
     dx += F.linear_vjp(_merge_heads(dkh), c_k)
     dx += F.linear_vjp(_merge_heads(dvh), c_v)

@@ -91,6 +91,7 @@ def run_lanes(executor: Executor | None, fn, lanes: list[tuple]) -> None:
 
 FFT_SIZE = 64
 GRAD_BLOCK_BYTES = 4 << 20  # per-bin products held at once by the FFT kernel gradient
+SPECTRUM_BLOCK_BYTES = 1 << 20  # output rows of a kernel spectrum transformed at once
 
 
 def _tap_blocks(kernel: int, stride: int):
@@ -266,15 +267,26 @@ def weight_spectrum(w: Tensor, stride: int) -> np.ndarray:
 
 
 def _kernel_spectrum(w: np.ndarray, stride: int) -> np.ndarray:
-    """Conjugated spectra (bins, C_out, C_in*s) of the polyphase taps w[o, i, j*s + r] over j."""
+    """Conjugated spectra (bins, C_out, C_in*s) of the polyphase taps w[o, i, j*s + r] over j.
+
+    Output channels are transformed `SPECTRUM_BLOCK_BYTES` of spectra at a time, straight into
+    the result, so the build holds one spectrum and small blocks, not the padded taps and two
+    whole spectra. Each tap sequence has its own transform, so the bits do not depend on the
+    block.
+    """
     from scipy.fft import rfft
 
     c_out, c_in, kernel = w.shape
     taps = -(-kernel // stride)
-    w_taps = np.pad(w, ((0, 0), (0, 0), (0, taps * stride - kernel)))
-    spec = rfft(w_taps.reshape(c_out, c_in, taps, stride).transpose(0, 1, 3, 2), FFT_SIZE)
-    w_spec = np.empty((spec.shape[-1], c_out, c_in * stride), dtype=spec.dtype)
-    return np.conjugate(spec.reshape(c_out, c_in * stride, -1).transpose(2, 0, 1), out=w_spec)
+    w_spec = np.empty((FFT_SIZE // 2 + 1, c_out, c_in * stride), np.result_type(w, np.complex64))
+    rows = max(1, SPECTRUM_BLOCK_BYTES // (w_spec.nbytes // c_out))
+    for lo in range(0, c_out, rows):
+        block = w[lo : lo + rows]
+        w_taps = np.pad(block, ((0, 0), (0, 0), (0, taps * stride - kernel)))
+        spec = rfft(w_taps.reshape(len(block), c_in, taps, stride).transpose(0, 1, 3, 2), FFT_SIZE)
+        np.conjugate(spec.reshape(len(block), c_in * stride, -1).transpose(2, 0, 1),
+                     out=w_spec[:, lo : lo + rows])
+    return w_spec
 
 
 def _block_spectra(dy: np.ndarray, step: int, blocks: int) -> np.ndarray:
@@ -406,10 +418,10 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None):
     return y, (y, axis)
 
 
-def softmax_vjp(dy: np.ndarray, cache):
-    """y * (dy - sum(dy * y)), computed in one new buffer."""
+def softmax_vjp(dy: np.ndarray, cache, out: np.ndarray | None = None):
+    """y * (dy - sum(dy * y)), computed in one buffer: `out` if given (not `dy`), else new."""
     y, axis = cache
-    dx = dy * y
+    dx = np.multiply(dy, y, out=out)
     rows = dx.sum(axis=axis, keepdims=True)
     np.subtract(dy, rows, out=dx)
     dx *= y

@@ -11,6 +11,8 @@ from ..model.config import OptimizerConfig
 from ..ndiff.functional import run_lanes
 from ..ndiff.tensor import Tensor
 
+BLOCK = 1 << 16  # elements per block of the gradient norm and of the update
+
 
 class Adam:
     """Standard bias-corrected Adam; moments live alongside each parameter.
@@ -38,8 +40,10 @@ class Adam:
         gradients of half the tensors (by element count, one sum each),
         then updates the second half of all elements, while the caller does
         the rest. The update is elementwise and the sums are added in
-        parameter order, so the bits are those of one thread. A non-finite
-        norm raises before any tensor changes.
+        parameter order, so the bits are those of one thread. Both passes
+        walk their tensors `BLOCK` elements at a time, so each lane holds
+        at most two blocks of scratch and no temporary the size of a
+        parameter. A non-finite norm raises before any tensor changes.
         """
         cfg = self.cfg
         sizes = [p.data.size for p in self.params]
@@ -94,12 +98,31 @@ def _flat_halves(sizes: list[int]) -> tuple[list, list]:
 
 
 def _sum_of_squares(grad: np.ndarray | None) -> float:
-    """The float64 sum of a gradient's squares (0.0 without one), in one temporary."""
+    """The float64 sum of a gradient's squares (0.0 without one), one `BLOCK` at a time.
+
+    NumPy sums a contiguous array pairwise: above 128 elements it splits
+    n at n // 2 rounded down to a multiple of 8 and adds the two halves'
+    sums. This walks that tree and hands each subtree of at most `BLOCK`
+    elements to `np.add.reduce` on its float64 squares, so the bits are
+    those of `np.square(grad.astype(np.float64)).sum()` without the
+    gradient-sized float64 copy.
+    """
     if grad is None:
         return 0.0
-    squares = grad.astype(np.float64)
-    np.square(squares, out=squares)
-    return float(squares.sum())
+    flat = grad.ravel(order="K")
+    return _pairwise_squares(flat, np.empty(min(BLOCK, flat.size), np.float64))
+
+
+def _pairwise_squares(flat: np.ndarray, squares: np.ndarray) -> float:
+    """The sum of `flat`'s float64 squares along NumPy's pairwise tree, each subtree of at most
+    `BLOCK` elements squared into `squares` and reduced there."""
+    n = flat.size
+    if n <= BLOCK:
+        leaf = squares[:n]
+        np.square(flat, out=leaf, dtype=np.float64)
+        return float(np.add.reduce(leaf))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_squares(flat[:half], squares) + _pairwise_squares(flat[half:], squares)
 
 
 def _norm(sums: list[float]) -> float:
@@ -111,33 +134,39 @@ def _norm(sums: list[float]) -> float:
 
 def _update(param: Tensor, m: np.ndarray, v: np.ndarray, span: slice, cfg: OptimizerConfig,
             scale: float, correction1: float, correction2: float) -> None:
-    """Adam on one flat range of a parameter and its moments in place, with two scratch buffers.
+    """Adam on one flat range of a parameter and its moments in place, `BLOCK` elements at a
+    time in two scratch buffers of at most `BLOCK` elements.
 
     Each operation and its operand grouping is that of the textbook form
     `p - lr * (m / c1) / (sqrt(v / c2) + eps)`, with `(1 - beta2) * g * g`
-    multiplied left to right, so the bits are the same.
+    multiplied left to right. Every operation is elementwise, so the bits
+    do not depend on the block size.
     """
     p, g, m, v = (None if a is None else a.reshape(-1, copy=False)[span]
                   for a in (param.data, param.grad, m, v))
-    grad, update = np.empty_like(p), np.empty_like(p)
-    if g is None:
-        grad.fill(0.0)
-    else:
-        np.multiply(g, scale, out=grad)
-    m *= cfg.beta1
-    np.multiply(grad, 1.0 - cfg.beta1, out=update)
-    m += update
-    v *= cfg.beta2
-    np.multiply(grad, 1.0 - cfg.beta2, out=update)
-    update *= grad
-    v += update
-    np.divide(m, correction1, out=grad)
-    grad *= cfg.learning_rate
-    np.divide(v, correction2, out=update)
-    np.sqrt(update, out=update)
-    update += cfg.eps
-    np.divide(grad, update, out=update)
-    if cfg.weight_decay > 0.0:
-        np.multiply(p, cfg.learning_rate * cfg.weight_decay, out=grad)
-        update += grad
-    p -= update
+    grad_scratch, update_scratch = (np.empty(min(BLOCK, p.size), p.dtype) for _ in range(2))
+    for start in range(0, p.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        p_block, m_block, v_block = p[block], m[block], v[block]
+        grad, update = grad_scratch[:p_block.size], update_scratch[:p_block.size]
+        if g is None:
+            grad.fill(0.0)
+        else:
+            np.multiply(g[block], scale, out=grad)
+        m_block *= cfg.beta1
+        np.multiply(grad, 1.0 - cfg.beta1, out=update)
+        m_block += update
+        v_block *= cfg.beta2
+        np.multiply(grad, 1.0 - cfg.beta2, out=update)
+        update *= grad
+        v_block += update
+        np.divide(m_block, correction1, out=grad)
+        grad *= cfg.learning_rate
+        np.divide(v_block, correction2, out=update)
+        np.sqrt(update, out=update)
+        update += cfg.eps
+        np.divide(grad, update, out=update)
+        if cfg.weight_decay > 0.0:
+            np.multiply(p_block, cfg.learning_rate * cfg.weight_decay, out=grad)
+            update += grad
+        p_block -= update

@@ -15,7 +15,13 @@ step:
   the summed wall time of the helper's jobs;
 - the helper's idle windows longer than 5 ms before Adam, in ms from
   the step's start;
-- the minor page faults of the whole process (`getrusage`).
+- the minor page faults of the whole process (`getrusage`);
+- the process's `ru_maxrss` high-water mark after the step, and how far
+  it climbed during the step while the caller ran forward passes,
+  backward passes and `Adam.step`. Once the heap has settled a step
+  climbs 0 MB, so a climb names the phase that set a new peak. The
+  mark is the process's, so the 1 s geometry climbs only above the
+  8 s geometry's peak.
 
 The last line of each geometry gives the medians. Timings are of one
 run on one machine; compare two checkouts in alternating runs.
@@ -37,7 +43,7 @@ from wlann.dataio import AudioClip
 from wlann.model import prepare_input
 from wlann.model.config import WlannConfig
 from wlann.ndiff import functional as F
-from wlann.train import PreparedExample, TrainState, train_step
+from wlann.train import PreparedExample, TrainState, loop, train_step
 from wlann.train.adam import Adam
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -45,18 +51,27 @@ from conftest import separation_config  # noqa: E402
 
 GEOMETRIES = [("default_8s_b1", WlannConfig, 1), ("separation_1s_b8", separation_config, 8)]
 IDLE_MS = 5.0
+PHASES = ("forward", "backward", "Adam")
 
 
 class Recorder:
-    """Wall-clock windows of the train step's helper jobs and the start of each Adam step."""
+    """Wall-clock windows of the train step's helper jobs, the start of each Adam step, and
+    the `ru_maxrss` climb of each phase of the step."""
 
     def __init__(self):
         self.jobs: list[tuple[float, float]] = []
         self.job_faults: list[tuple[str, int]] = []
         self.adam_start = self.adam_cpu = None
+        self.climbs, self.high_water = dict.fromkeys(PHASES, 0), max_rss_mb()
+
+    def charge(self, phase: str) -> None:
+        """Add the `ru_maxrss` climb since the last charge to `phase`."""
+        high_water = max_rss_mb()
+        self.climbs[phase] += high_water - self.high_water
+        self.high_water = high_water
 
     def install(self):
-        call_once, step = F._call_once, Adam.step
+        call_once, step, backward = F._call_once, Adam.step, loop.backward
 
         def timed_call(call):
             on_helper = threading.current_thread().name.startswith("wlann-train-step")
@@ -72,10 +87,26 @@ class Recorder:
                         (name, resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - faults))
 
         def timed_step(optimizer):
+            self.charge("backward")
             self.adam_start, self.adam_cpu = time.perf_counter(), time.thread_time()
-            return step(optimizer)
+            try:
+                return step(optimizer)
+            finally:
+                self.charge("Adam")
 
-        F._call_once, Adam.step = timed_call, timed_step
+        def charged_backward(*args):
+            self.charge("forward")
+            try:
+                return backward(*args)
+            finally:
+                self.charge("backward")
+
+        F._call_once, Adam.step, loop.backward = timed_call, timed_step, charged_backward
+
+
+def max_rss_mb() -> float:
+    """The process's resident-set high-water mark so far, in MB (`ru_maxrss` is in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
 def batch_for(cfg: WlannConfig, size: int) -> list[PreparedExample]:
@@ -109,6 +140,7 @@ def profile(name: str, make_config, batch_size: int, steps: int, recorder: Recor
     for index in range(steps):
         recorder.jobs.clear()
         recorder.job_faults.clear()
+        recorder.climbs, recorder.high_water = dict.fromkeys(PHASES, 0), max_rss_mb()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         main_faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
         cpu, start = time.thread_time(), time.perf_counter()
@@ -126,11 +158,12 @@ def profile(name: str, make_config, batch_size: int, steps: int, recorder: Recor
                                start, adam)
         ms = lambda t: 1e3 * (t - start)  # noqa: E731
         gaps = " ".join(f"{ms(a):.0f}-{ms(b):.0f}" for a, b in windows) or "-"
+        climbs = ", ".join(f"{phase} +{mb:.0f}" for phase, mb in recorder.climbs.items())
         rows.append((1e3 * (end - start), ms(adam), 1e3 * main_cpu, 1e3 * helper, faults))
         print(f"{name} step {index}: wall {rows[-1][0]:.0f} ms, before Adam {rows[-1][1]:.0f}, "
               f"main busy {rows[-1][2]:.0f} (cpu), helper busy {rows[-1][3]:.0f}, "
-              f"faults {faults} (main {main_faults}, helper {helper_faults}); helper idle {gaps}",
-              flush=True)
+              f"faults {faults} (main {main_faults}, helper {helper_faults}), "
+              f"maxrss {recorder.high_water:.0f} MB ({climbs}); helper idle {gaps}", flush=True)
     med = np.median(np.array(rows), axis=0)
     print(f"{name} median: wall {med[0]:.0f} ms (min {min(r[0] for r in rows):.0f}), "
           f"before Adam {med[1]:.0f}, main busy {med[2]:.0f}, helper busy {med[3]:.0f}, "

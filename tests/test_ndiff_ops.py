@@ -28,7 +28,8 @@ from wlann.ndiff import (
     transformer_block,
 )
 from wlann.ndiff import functional as F
-from wlann.ndiff.attention import _merge_heads, _split_heads, multi_head_self_attention_vjp
+from wlann.ndiff.attention import (_head_weights, _merge_heads, _split_heads,
+                                   multi_head_self_attention_vjp)
 
 from conftest import (fft_layer_config, separation_config, small_train_config, spectrum_builds,
                       traced_peak)
@@ -467,6 +468,38 @@ class TestConv1d:
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, stride, block_bytes", [
+        ((128, 64, 80), 4, None),  # 8 s `cnn.1`
+        ((240, 128, 80), 4, None),  # 8 s `cnn.2`
+        ((7, 3, 80), 5, 1),  # one output channel per block
+        ((33, 17, 9), 3, 40_000),  # a short last block
+    ], ids=["default_8s_cnn1", "default_8s_cnn2", "rows_1", "rows_short_tail"])
+    def test_kernel_spectrum_blocks_bitwise_equal_to_whole_layer(self, monkeypatch, rng, dtype,
+                                                                shape, stride, block_bytes):
+        """Blocks of output channels give the bits of one transform over the whole kernel."""
+        from scipy.fft import rfft
+
+        if block_bytes is not None:
+            monkeypatch.setattr(F, "SPECTRUM_BLOCK_BYTES", block_bytes)
+        c_out, c_in, kernel = shape
+        w = rng.standard_normal(shape).astype(dtype)
+        taps = -(-kernel // stride)
+        w_taps = np.pad(w, ((0, 0), (0, 0), (0, taps * stride - kernel)))
+        spec = rfft(w_taps.reshape(c_out, c_in, taps, stride).transpose(0, 1, 3, 2), F.FFT_SIZE)
+        want = np.conjugate(spec.reshape(c_out, c_in * stride, -1).transpose(2, 0, 1))
+        got = F._kernel_spectrum(w, stride)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_kernel_spectrum_holds_one_spectrum_and_small_blocks(self, rng):
+        """At 8 s `cnn.2` the build holds its 30.9 MiB result and a few SPECTRUM_BLOCK_BYTES
+        blocks, not the padded taps and two whole spectra (71.3 MiB)."""
+        w = rng.standard_normal((240, 128, 80)).astype(np.float32)
+        spectrum = F._kernel_spectrum(w, 4)  # first-call imports
+        peak = traced_peak(lambda: F._kernel_spectrum(w, 4))
+        assert peak <= spectrum.nbytes + 4 * F.SPECTRUM_BLOCK_BYTES < 2 * spectrum.nbytes, peak
+
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
             F.conv1d(np.zeros((1, 3)), tensor(np.zeros((1, 1, 4))), tensor(np.zeros(1)), 1)
@@ -710,6 +743,23 @@ def all_heads_attention_reference(x, params):
     return y, (c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, params.heads)
 
 
+def rebuilt_weights(cache):
+    """Every head's (N, N) weights, rebuilt from an attention cache as its VJP rebuilds them."""
+    _, _, _, _, qh, kh, _, scale, heads = cache
+    n = qh.shape[1]
+    return np.stack([_head_weights(qh[i], kh[i], scale, np.empty((n, n), qh.dtype))
+                     for i in range(heads)])
+
+
+def arrays_in(value):
+    """Every NumPy array inside nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
 def all_heads_attention_vjp_reference(dy, cache):
     c_q, c_k, c_v, c_o, c_soft, qh, kh, vh, attn, scale, heads = cache
     dcontext = _split_heads(F.linear_vjp(dy, c_o), heads)
@@ -729,7 +779,7 @@ class TestAttention:
         x = rng.standard_normal((1, 6))
         y, cache = multi_head_self_attention(x, params)
         # softmax over a single key must be exactly 1
-        attn = cache[8]
+        attn = rebuilt_weights(cache)
         np.testing.assert_allclose(attn, 1.0)
         # output equals the value/output projection chain of the token
         v = x @ params.wv.data.T + params.bv.data
@@ -739,7 +789,7 @@ class TestAttention:
     def test_rows_sum_to_one(self, rng):
         params = AttentionParams.allocate(8, 4).initialize(rng, 0.02)
         _, cache = multi_head_self_attention(rng.standard_normal((5, 8)), params)
-        attn = cache[8]
+        attn = rebuilt_weights(cache)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(attn >= 0)
 
@@ -768,13 +818,24 @@ class TestAttention:
         y, cache = multi_head_self_attention(x, got)
         y_ref, cache_ref = all_heads_attention_reference(x, want)
         assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()
-        assert cache[8].tobytes() == cache_ref[8].tobytes()
+        assert rebuilt_weights(cache).tobytes() == cache_ref[8].tobytes()
         y_free, no_cache = multi_head_self_attention(x, got, keep_cache=False)
         assert no_cache is None and y_free.tobytes() == y_ref.tobytes()
         dx = multi_head_self_attention_vjp(dy, cache)
         assert dx.tobytes() == all_heads_attention_vjp_reference(dy, cache_ref).tobytes()
         for g, w in zip(got.tensors(), want.tensors()):
             assert g.grad.tobytes() == w.grad.tobytes(), g.name
+
+    def test_default_8s_cache_holds_no_score_sized_array(self):
+        """The VJP rebuilds the weights, so the cache keeps nothing of N² or more elements."""
+        cfg = WlannConfig()
+        n, dim, heads = cfg.num_patches, cfg.ast.embed_dim, cfg.ast.heads
+        rng = np.random.default_rng(5)
+        params = AttentionParams.allocate(dim, heads, dtype=cfg.numpy_dtype).initialize(rng, 0.02)
+        x = rng.standard_normal((n, dim)).astype(cfg.numpy_dtype)
+        _, cache = multi_head_self_attention(x, params)
+        sizes = [a.size for a in arrays_in(cache)]
+        assert sizes and max(sizes) < n * n, (n, sizes)
 
     def test_cache_free_forward_holds_one_head_of_scores(self, rng):
         heads, n, dim = 4, 300, 8

@@ -167,6 +167,51 @@ class TestAdam:
         assert opt.step_count == 0
         assert not set(threading.enumerate()) - before
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_sum_of_squares_bitwise_equal_to_direct(self, dtype):
+        """Every parameter shape of the default and separation configs, and flat sizes around
+        the block edge. The blocked sum follows NumPy's pairwise order, so a NumPy that sums
+        differently fails here rather than moving the norm's bits silently."""
+        block = adam_module.BLOCK
+        shapes = {t.shape for make_config in (WlannConfig, separation_config)
+                  for t in WlannParams.allocate(make_config()).tensors()}
+        shapes |= {(n,) for n in (block - 1, block, block + 1, 2 * block + 8)}
+        rng = np.random.default_rng(17)
+        for shape in sorted(shapes):
+            grad = (3.0 * rng.standard_normal(shape)).astype(dtype)
+            direct = np.square(grad.astype(np.float64)).sum()
+            assert adam_module._sum_of_squares(grad) == direct, shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_small_blocks_bitwise_equal_to_out_of_place_reference(self, monkeypatch, dtype):
+        """With 128-element blocks the three largest tensors span several blocks of the norm's
+        tree and of the update: 3 steps still equal the reference's bits."""
+        monkeypatch.setattr(adam_module, "BLOCK", 128)
+        got_params, want_params = adam_tree(dtype), adam_tree(dtype)
+        got, want = Adam(got_params, ADAM_CFG), Adam(want_params, ADAM_CFG)
+        for step in range(3):
+            give_grads(got_params, step)
+            give_grads(want_params, step)
+            got.step()
+            reference_adam_step(want)
+        for g, w in zip([*got_params, *got.m, *got.v], [*want_params, *want.m, *want.v]):
+            assert g.data.tobytes() == w.data.tobytes(), g.name
+
+    def test_default_8s_step_peak_is_a_few_blocks(self):
+        """The step allocates no parameter-sized temporary: per lane one float64 block of
+        squares, then two blocks of update scratch. A float64 copy of each gradient and two
+        range-sized scratch buffers took the step's peak to ~54 MiB."""
+        cfg = WlannConfig()
+        params = list(WlannParams.create(cfg).tensors())
+        rng = np.random.default_rng(4)
+        for p in params:
+            p.zero_grad()
+            p.add_grad(rng.standard_normal(p.shape).astype(p.dtype))
+        opt = Adam(params, cfg.optimizer)
+        opt.step()
+        peak = traced_peak(opt.step)
+        assert peak <= 4 * adam_module.BLOCK * 8 + 2**18, peak
+
 
 ADAM_CFG = OptimizerConfig(learning_rate=1e-2, clip_norm=1.0, weight_decay=0.01)
 
@@ -535,6 +580,24 @@ class TestLanePlan:
             gc.collect()
             peaks.append(traced_peak(lambda: train_step(batch, state)))
         assert max(peaks[4:]) - min(peaks[4:]) <= 16 << 10, peaks
+
+    def test_default_8s_step_peak_is_bounded(self):
+        """Two warm two-thread steps at the shipped 8 s config, traced from each step's entry,
+        each peak under 192 MiB. They read ~168.6 MiB, ~52 MiB of it the FFT kernel spectra
+        the step rebuilds after Adam, which tracing counts as new. The bound leaves ~23 MiB
+        of slack and is ~42 MiB under the 234.4 MiB a step read while the attention cache
+        held every head's (N, N) weights."""
+        cfg = WlannConfig()
+        rng = np.random.default_rng(7)
+        clip = AudioClip(rng.uniform(-0.5, 0.5, cfg.fixed_samples), cfg.sample_rate_hz)
+        batch = [PreparedExample("clip0", *prepare_input(clip, cfg), 1)]
+        state = TrainState.create(cfg)
+        train_step(batch, state)  # first-call imports, caches and lane buffers
+        peaks = []
+        for _ in range(2):
+            gc.collect()
+            peaks.append(traced_peak(lambda: train_step(batch, state)))
+        assert max(peaks) <= 192 << 20, peaks
 
 
 class TestKernelSpectrumMemo:
