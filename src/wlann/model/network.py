@@ -107,8 +107,9 @@ class LanePlan:
     convolution has returned; the spectrogram branch, queued then and joined before fusion.
     Backward: the spectrogram VJP and layer `deferred`'s kernel gradient, both joined just
     before `split`'s VJP; `split`'s kernel gradient, joined as that VJP returns. `split` is the
-    widest im2col layer, so its work runs only while the helper is idle or writes into buffers
-    the caller holds."""
+    layer with the most input channels x output length, whichever path its convolution takes
+    (at 8 s `cnn.1`, an FFT layer); its work runs only while the helper is idle or writes into
+    buffers the caller holds."""
 
     split: int
     spectra: tuple[int, ...]

@@ -26,9 +26,11 @@ shape and bytes) at the shipped 8 s config, in float32 and float64:
 - `frontend_8s_8khz`: an 8 s 8 kHz clip, the corpus rate that `evaluate`
   and `prepare_split` prepare.
 
-The last line, `bandpass_8s_16khz float64`, digests `apply_filter` alone (the
-shipped 4th-order 40-850 Hz band-pass on a seeded 8 s 16 kHz clip), so a
-moved front-end digest can be told apart as band-pass or log-mel bits.
+The line `bandpass_8s_16khz float64` digests `apply_filter` alone (the
+shipped 4th-order 40-850 Hz band-pass on a seeded 8 s 16 kHz clip), and the
+last two, `resample_8s_44khz`, digest `resample` alone (a seeded 8 s
+44.1 kHz clip to 16 kHz, its GEMM in float32 and float64), so a moved
+front-end digest can be told apart as resampler, band-pass or log-mel bits.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import wlann  # noqa: F401  (first, so BLAS is pinned to one thread)
 import numpy as np
 
 from wlann.dataio import AudioClip, load_wav, write_wav
-from wlann.dsp import apply_filter, design_butterworth_bandpass
+from wlann.dsp import apply_filter, design_butterworth_bandpass, resample
 from wlann.model import prepare_input
 from wlann.model.config import WlannConfig
 from wlann.train import PreparedExample, TrainState, train_step
@@ -106,6 +108,12 @@ def bandpass_digest() -> str:
     return hashlib.sha256(str(filtered.dtype).encode() + filtered.tobytes()).hexdigest()
 
 
+def resample_digest(dtype: str) -> str:
+    samples = np.random.default_rng(17).uniform(-0.5, 0.5, 8 * 44100)
+    out = resample(AudioClip(samples, 44100), WlannConfig().sample_rate_hz, dtype).samples
+    return hashlib.sha256(str(out.dtype).encode() + out.tobytes()).hexdigest()
+
+
 if __name__ == "__main__":
     for name, make_config, batch_size, source_hz in VARIANTS:
         for dtype in ("float32", "float64"):
@@ -115,3 +123,5 @@ if __name__ == "__main__":
             for dtype in ("float32", "float64"):
                 print(name, dtype, frontend_digest(clip, dtype), flush=True)
     print("bandpass_8s_16khz", "float64", bandpass_digest(), flush=True)
+    for dtype in ("float32", "float64"):
+        print("resample_8s_44khz", dtype, resample_digest(dtype), flush=True)

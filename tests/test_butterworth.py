@@ -223,8 +223,8 @@ class TestAgainstScipy:
 
 
 def test_no_wlann_process_loads_scipy_signal():
-    """Synthesis and the front end at the standard rates run without `scipy.signal`: only the
-    resampler's fallback for rate pairs over its period budget imports it."""
+    """No `wlann` process loads `scipy.signal`: synthesis and the front end run without it at
+    the standard rates and at 44101 Hz, a rate pair whose period is R = 16000 outputs."""
     script = textwrap.dedent("""
         import sys, tempfile
         import wlann
@@ -235,7 +235,7 @@ def test_no_wlann_process_loads_scipy_signal():
         with tempfile.TemporaryDirectory() as root:
             generate_synthetic_corpus(1, seed=3, out_dir=root)
         rng = np.random.default_rng(0)
-        for rate_hz in (8000, 16000, 44100, 48000):
+        for rate_hz in (8000, 16000, 44100, 44101, 48000):
             prepare_input(AudioClip(rng.uniform(-0.5, 0.5, 2 * rate_hz), rate_hz), WlannConfig())
         print("scipy.signal" in sys.modules)
     """)

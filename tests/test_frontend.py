@@ -39,7 +39,7 @@ class TestPeakMemory:
 
     def test_resample(self, wav_44k):
         clip = load_wav(wav_44k)
-        resample(clip, 16000)  # builds the cached kernel and period matrix outside the trace
+        resample(clip, 16000)  # builds the cached period bands outside the trace
         assert traced_peak(lambda: resample(clip, 16000)) < 1.65 * MIB
 
     def test_apply_filter(self):
